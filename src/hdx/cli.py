@@ -71,10 +71,6 @@ def _load_input(args) -> tuple[Complex, dict]:
     return X, {"path": args.input, "sha256": _sha256_file(args.input)}
 
 
-def _cap(args) -> int | None:
-    return args.cap
-
-
 def _cochain(X: Complex, args):
     bits = 0
     for i in args.cochain:
@@ -99,13 +95,13 @@ def _run_generate(args):
     )
     result = {"genspec": spec.canonical_string()}
     if args.kind == "linial_meshulam":
-        lm = linial_meshulam(args.n, args.d, args.p, args.seed, _cap(args))
+        lm = linial_meshulam(args.n, args.d, args.p, args.seed, args.cap)
         X = lm.complex
         result["kept_top_faces"] = lm.kept
         result["candidate_top_faces"] = lm.candidates
         result["dropped_faces"] = [list(f) for f in lm.dropped]
     else:
-        X = generate(spec, _cap(args))
+        X = generate(spec, args.cap)
     save_complex(X, args.out)
     result["out"] = args.out
     result["d"] = X.d
@@ -142,7 +138,7 @@ def _run_info(args):
 
 def _run_expansion(args):
     X, input_info = _load_input(args)
-    rep = expansion(X, args.k, args.mode, _cap(args))
+    rep = expansion(X, args.k, args.mode, args.cap)
     result = {
         "k": rep.k,
         "mode": rep.mode,
@@ -154,7 +150,7 @@ def _run_expansion(args):
 
 def _run_cosystole(args):
     X, input_info = _load_input(args)
-    rep = cosystole(X, args.k, _cap(args))
+    rep = cosystole(X, args.k, args.cap)
     result = {
         "k": rep.k,
         "value": rat_json(rep.value),
@@ -166,7 +162,7 @@ def _run_cosystole(args):
 def _run_minimize(args):
     X, input_info = _load_input(args)
     A = _cochain(X, args)
-    trace = locally_minimize(X, A, _cap(args))
+    trace = locally_minimize(X, A, args.cap)
     result = {
         "k": args.k,
         "initial": cochain_json(trace.initial),
@@ -228,10 +224,10 @@ def _run_seep_check(args):
     A = _cochain(X, args)
     beta = args.beta
     if beta is None:
-        beta = _min_link_expansion(X, _cap(args))
+        beta = _min_link_expansion(X, args.cap)
         if beta is None:
             raise HdxError("no proper links to measure beta from; pass --beta")
-    rep = verify_seep(X, A, args.eta, beta, cap=_cap(args))
+    rep = verify_seep(X, A, args.eta, beta, cap=args.cap)
     result = {
         "k": rep.k,
         "eta": rat_json(rep.eta),
@@ -311,7 +307,7 @@ def _run_mixing_check(args):
 
 def _run_skeleton_alpha(args):
     X, input_info = _load_input(args)
-    rep = skeleton_alpha(X, args.mode, _cap(args))
+    rep = skeleton_alpha(X, args.mode, args.cap)
     result = {
         "mode": rep.mode,
         "value": rat_json(rep.value) if rep.mode == "exhaustive" else rep.value,
@@ -329,7 +325,7 @@ def _run_constants(args):
 
 def _run_criterion(args):
     X, input_info = _load_input(args)
-    report = criterion_report(X, _cap(args))
+    report = criterion_report(X, args.cap)
     code = 0 if report["hypotheses"]["verdict"] == "met" else 2
     return report, input_info, code
 
@@ -460,23 +456,23 @@ def main(argv=None) -> int:
     }
     try:
         result, input_info, code = args.func(args)
-    except HdxError as exc:
+        envelope = {
+            "schema": "hdx-report/1",
+            "version": __version__,
+            "verb": args.verb,
+            "options": options,
+            "input": input_info,
+            "result": result,
+        }
+        text = json_dumps(envelope) if args.format == "json" else tsv_dumps(envelope)
+        if args.out and not getattr(args, "writes_file", False):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (HdxError, OSError, UnicodeDecodeError) as exc:  # unreadable input, unwritable --out
         sys.stderr.write(f"hdx: error: {exc}\n")
         return 1
-    envelope = {
-        "schema": "hdx-report/1",
-        "version": __version__,
-        "verb": args.verb,
-        "options": options,
-        "input": input_info,
-        "result": result,
-    }
-    text = json_dumps(envelope) if args.format == "json" else tsv_dumps(envelope)
-    if args.out and not getattr(args, "writes_file", False):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

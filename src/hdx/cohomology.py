@@ -71,7 +71,15 @@ class F2Basis:
 
 
 def space_basis(X: Complex, k: int, kind: Kind) -> F2Basis:
-    """Echelon basis of ker(delta^k) or im(delta^(k-1)); memoized per complex."""
+    """Echelon basis of ker(delta^k) or im(delta^(k-1)); memoized per complex.
+
+    One tagged elimination of delta^j fills two memo entries, Z^j and
+    B^(j+1), whichever is asked for first. The images delta(e_i), i in X(j)
+    ascending, are reduced with tag e_i: those that stay independent give the
+    rows of B^(j+1) and their tags its preimages; the tags of those that
+    reduce to zero span Z^j. At j = d delta is zero, so every tag lands in
+    the kernel.
+    """
     if kind not in ("cocycles", "coboundaries"):
         raise ValueError(f"unknown kind {kind!r}")
     lo = -1 if kind == "cocycles" else 0
@@ -81,44 +89,25 @@ def space_basis(X: Complex, k: int, kind: Kind) -> F2Basis:
     if key in X._cache:
         return X._cache[key]
 
-    if kind == "coboundaries":
-        space = F2Space()
-        up = X._up[k - 1]
-        for j in range(X.n_faces(k - 1)):
-            space.add(up[j], tag=1 << j)
-        rows = tuple(Cochain(X, k, v) for v, _ in space.tagged_rows())
-        preimages = tuple(Cochain(X, k - 1, t) for _, t in space.tagged_rows())
-    else:
-        kernel = F2Space()
-        if k == X.d:
-            for i in range(X.n_faces(k)):
-                kernel.add(1 << i)
+    j = k if kind == "cocycles" else k - 1
+    image, kernel = F2Space(), F2Space()
+    up = X._up[j] if j < X.d else [0] * X.n_faces(j)
+    for i, img in enumerate(up):
+        img, tag = image.reduce_tagged(img, 1 << i)
+        if img:
+            image.add(img, tag)
         else:
-            up = X._up[k]
-            pivots: dict[int, tuple[int, int]] = {}
-            for i in range(X.n_faces(k)):
-                img, combo = up[i], 1 << i
-                while img:
-                    p = (img & -img).bit_length() - 1
-                    if p not in pivots:
-                        pivots[p] = (img, combo)
-                        img = 0
-                        combo = 0
-                        break
-                    pimg, pcombo = pivots[p]
-                    img ^= pimg
-                    combo ^= pcombo
-                if combo:
-                    kernel.add(combo)
-        rows = tuple(Cochain(X, k, v) for v in kernel.rows())
-        preimages = None
-
-    space = F2Space()
-    for r in rows:
-        space.add(r.bits)
-    basis = F2Basis(X, k, kind, rows, preimages, space)
-    X._cache[key] = basis
-    return basis
+            kernel.add(tag)
+    rows = tuple(Cochain(X, j, v) for v in kernel.rows())
+    X._cache[("basis", j, "cocycles")] = F2Basis(X, j, "cocycles", rows, None, kernel)
+    if j < X.d:
+        pairs = image.tagged_rows()
+        rows = tuple(Cochain(X, j + 1, v) for v, _ in pairs)
+        preimages = tuple(Cochain(X, j, t) for _, t in pairs)
+        X._cache[("basis", j + 1, "coboundaries")] = F2Basis(
+            X, j + 1, "coboundaries", rows, preimages, image
+        )
+    return X._cache[key]
 
 
 def cohomology_dim(X: Complex, k: int) -> int:

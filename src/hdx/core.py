@@ -413,10 +413,6 @@ class Cochain:
         self._binop_check(other)
         return Cochain(self.complex, self.k, self.bits | other.bits)
 
-    def subset_of(self, other: "Cochain") -> bool:
-        self._binop_check(other)
-        return self.bits & ~other.bits == 0
-
     def __contains__(self, face: Face) -> bool:
         return bool((self.bits >> self.complex.face_index(face)) & 1)
 

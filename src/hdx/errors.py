@@ -86,9 +86,5 @@ class NotBiregular(HdxError):
     pass
 
 
-class Disconnected(HdxError):
-    pass
-
-
 class PreconditionUnverified(HdxError):
     pass

@@ -41,10 +41,6 @@ class RegularStructure:
     part_sizes: tuple[int, ...]
     table: dict[tuple[frozenset, frozenset], int]  # (I, J) -> constant count
 
-    def token_types(self) -> dict[str, int]:
-        names = self.complex.vertex_names
-        return {names[v]: t for v, t in sorted(self.types.items())}
-
     def vertices_of_type(self, t: int) -> tuple[int, ...]:
         return tuple(v for v in sorted(self.types) if self.types[v] == t)
 

@@ -185,6 +185,29 @@ def test_error_reporting(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("case", ["missing-input", "not-utf8", "missing-types", "bad-out-dir"])
+def test_io_errors_are_one_line(tmp_path, capsys, case):
+    cx = os.path.join(tmp_path, "c4.cx")
+    with open(cx, "w") as fh:
+        fh.write("a b\nb c\nc d\nd a\n")
+    binary = os.path.join(tmp_path, "binary.cx")
+    with open(binary, "wb") as fh:
+        fh.write(b"a b\n\xff c\n")
+    missing = os.path.join(tmp_path, "nonexistent")
+    argv = {
+        "missing-input": ["info", missing + ".cx"],
+        "not-utf8": ["info", binary],
+        "missing-types": ["spectrum", cx, "--types", missing + ".types"],
+        "bad-out-dir": ["info", cx, "--out", os.path.join(missing, "r.json")],
+    }[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("hdx: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_tsv_format(tmp_path, capsys):
     cx = os.path.join(tmp_path, "c5.cx")
     run_cli(capsys, "generate", "--kind", "cycle", "--n", "5", "--out", cx)

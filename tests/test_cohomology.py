@@ -13,6 +13,7 @@ from hdx.cohomology import (
 )
 from hdx.core import build_complex
 from hdx.errors import BadDimension, TooLarge
+from hdx.f2 import F2Space
 from hdx.generators import complete, cycle
 from helpers import (
     oracle_coboundary_bits,
@@ -73,6 +74,7 @@ def test_space_basis_dims():
 
 def test_space_basis_echelon_invariants():
     rng = random.Random(9)
+    vec_rng = random.Random(10)  # own stream, so rng draws the same complexes
     for _ in range(25):
         X = random_pure_complex(rng)
         k = rng.randint(0, X.d)
@@ -81,6 +83,10 @@ def test_space_basis_echelon_invariants():
         for basis in (z, b):
             leads = [(r.bits & -r.bits).bit_length() - 1 for r in basis.rows]
             assert leads == sorted(set(leads))
+            # fully reduced: no row has a set bit at another row's pivot
+            pivots = sum(1 << p for p in leads)
+            for row, p in zip(basis.rows, leads):
+                assert row.bits & pivots == 1 << p
         # coboundaries are cocycles
         for row in b.rows:
             assert z.contains(row)
@@ -88,6 +94,36 @@ def test_space_basis_echelon_invariants():
         for row, pre in zip(b.rows, b.preimages):
             assert coboundary(pre) == row
         assert z.dim >= b.dim
+        # every cochain of the top dimension is a cocycle
+        top = space_basis(X, X.d, "cocycles")
+        assert top.row_bits() == [1 << i for i in range(X.n_faces(X.d))]
+        # Z^k and B^(k+1) share one elimination; the order they are asked in
+        # does not change either of them
+        if k < X.d:
+            tops = [X.tokens_of(f) for f in X.faces(X.d)]
+            bases = []
+            for kinds in ((k, "cocycles"), (k + 1, "coboundaries")), (
+                (k + 1, "coboundaries"), (k, "cocycles")
+            ):
+                Y = build_complex(tops)
+                for j, kind in kinds:
+                    space_basis(Y, j, kind)
+                zy = space_basis(Y, k, "cocycles")
+                by = space_basis(Y, k + 1, "coboundaries")
+                bases.append((zy.row_bits(), by.row_bits(), [p.bits for p in by.preimages]))
+            assert bases[0] == bases[1]
+        # reduce() gives the same representative before and after rows()
+        # back-substitutes an echelon built by add()
+        n = X.n_faces(k)
+        space = F2Space()
+        for _ in range(n):
+            space.add(vec_rng.getrandbits(n))
+        probes = [vec_rng.getrandbits(n) for _ in range(10)]
+        before = [space.reduce(v) for v in probes]
+        pivots = sum(r & -r for r in space.rows())
+        assert [space.reduce(v) for v in probes] == before
+        for v, rep in zip(probes, before):
+            assert rep & pivots == 0 and space.contains(v ^ rep)
 
 
 def test_cosystole_examples():
