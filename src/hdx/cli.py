@@ -470,7 +470,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (HdxError, OSError, UnicodeDecodeError) as exc:  # unreadable input, unwritable --out
+    except (HdxError, OSError) as exc:  # unreadable input, unwritable --out
         sys.stderr.write(f"hdx: error: {exc}\n")
         return 1
     return code

@@ -9,6 +9,7 @@ draw / 2^64 < p as an exact rational comparison.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -288,24 +289,33 @@ def save_complex(X: Complex, path: str) -> None:
             fh.write(" ".join(X.tokens_of(face)) + "\n")
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, newlines translated as in text mode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        # the sentinel byte makes a partial last line count as a line
+        line = len((data[: exc.start] + b".").splitlines())
+        raise ParseError(f"{path} is not UTF-8 text", line) from None
+
+
 def load_complex(path: str) -> Complex:
     """Parse a .cx file: whitespace-separated vertex tokens, one maximal face
     per line; '#' starts a comment."""
     faces = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            seen: dict[str, int] = {}
-            for col, tok in enumerate(tokens, start=1):
-                if tok in seen:
-                    raise ParseError(
-                        f"vertex {tok!r} repeated in one face", lineno, col
-                    )
-                seen[tok] = col
-            faces.append(tokens)
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        seen: dict[str, int] = {}
+        for col, tok in enumerate(tokens, start=1):
+            if tok in seen:
+                raise ParseError(f"vertex {tok!r} repeated in one face", lineno, col)
+            seen[tok] = col
+        faces.append(tokens)
     if not faces:
         raise EmptyInput(f"no faces in {path}")
     return build_complex(faces)
@@ -320,17 +330,16 @@ def save_types(types: dict[str, int], path: str) -> None:
 def load_types(path: str) -> dict[str, int]:
     """Parse a .types sidecar: lines of "vertex_token type_integer"."""
     out: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected 'vertex type' pair", lineno)
-            name, value = parts
-            try:
-                out[name] = int(value)
-            except ValueError:
-                raise ParseError(f"type {value!r} is not an integer", lineno, 2) from None
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("expected 'vertex type' pair", lineno)
+        name, value = parts
+        try:
+            out[name] = int(value)
+        except ValueError:
+            raise ParseError(f"type {value!r} is not an integer", lineno, 2) from None
     return out

@@ -3,12 +3,12 @@
 A complex is regular when its vertices split into d+1 types with every top
 face containing one vertex per type and constant face-extension counts
 between type sets. For each pair of types the induced bipartite graph is
-biregular; its normalized second eigenvalue is computed by a dense cyclic
-Jacobi iteration, and the maximum over pairs certifies one-sided mixing for
-all vertex-set pairs, hence skeleton expansion.
-
-Exhaustive skeleton-expansion constants are exact rationals; eigenvalues
-and the mixing right-hand side are floats with an explicit slack.
+biregular; its normalized second eigenvalue comes from LAPACK (`eigh`),
+certified by the reconstruction residual, and the maximum over pairs
+certifies one-sided mixing for all vertex-set pairs, hence skeleton expansion.
+Both subset scans read one exact table of integer top counts per subset:
+skeleton-expansion constants are exact rationals, and a mixing margin rounds
+only in its eigenvalue term, so exact ties never fail.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .core import Complex, Face
 from .errors import BadDimension, NotBiregular, NotRegular, NoValidTyping
 from .f2 import iter_bits
 
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 MIXING_SLACK = 1e-9
+MIXING_BLOCK = 1 << 16  # subset pairs per vectorized block, cache-sized
 ALPHA_EXHAUSTIVE_CAP = 1 << 20  # vertex subsets
 
 
@@ -205,55 +204,6 @@ def type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> BipartiteType
     )
 
 
-def jacobi_eigh(
-    a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues descending, eigenvectors as columns, reconstruction
-    residual in Frobenius norm, final off-diagonal norm).
-    """
-    a0 = np.array(a, dtype=float)
-    a = a0.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-
-    def _off(mat: np.ndarray) -> float:
-        # sum the squared off-diagonal entries directly; the algebraically
-        # equal ||A||_F^2 - ||diag||^2 cancels catastrophically near zero
-        return math.sqrt(float(((mat - np.diag(np.diag(mat))) ** 2).sum()))
-
-    for _ in range(max_sweeps):
-        off = _off(a)
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    off = _off(a)
-    vals = np.diag(a).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    v = v[:, order]
-    residual = float(np.linalg.norm(v @ np.diag(vals) @ v.T - a0))
-    return vals, v, residual, off
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     pair: tuple[int, int]
@@ -261,7 +211,6 @@ class SpectralReport:
     second_eigenvalue: float  # raw, before normalization
     lambda2_normalized: float  # max(second/lambda1, 0)
     residual: float
-    offdiag: float
     degrees: tuple[int, int]
     connected: bool
 
@@ -272,9 +221,10 @@ class SpectralReport:
 
 def lambda2(G: BipartiteTypeGraph) -> SpectralReport:
     """Normalized second largest adjacency eigenvalue of a type graph."""
-    vals, _, residual, off = jacobi_eigh(G.matrix)
-    lam1 = float(vals[0])
-    second = float(vals[1])
+    vals, vecs = np.linalg.eigh(G.matrix)
+    residual = float(np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - G.matrix))
+    lam1 = float(vals[-1])
+    second = float(vals[-2])
     # a bipartite spectrum is symmetric; clamping at zero keeps the
     # normalized value in [0,1] even when only the trivial pair remains
     normalized = max(second / lam1, 0.0)
@@ -284,7 +234,6 @@ def lambda2(G: BipartiteTypeGraph) -> SpectralReport:
         second,
         normalized,
         residual,
-        off,
         (G.left_degree, G.right_degree),
         G.connected,
     )
@@ -306,6 +255,40 @@ def lambda_max(
 # -- mixing and skeleton expansion --------------------------------------------
 
 
+def _subset_sums(w) -> np.ndarray:
+    """out[m] = sum of w[i] over the set bits i of m, as int64."""
+    out = np.zeros(1 << len(w), dtype=np.int64)
+    for i, x in enumerate(w):
+        out[1 << i : 2 << i] = out[: 1 << i] + x
+    return out
+
+
+def _subset_tops(X: Complex) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top counts of every vertex subset (by bitmask) and of its inner edges."""
+    n = len(X.vertex_names)
+    pair = np.zeros((n, n), dtype=np.int64)
+    if X.d >= 1:
+        for (u, v), t in zip(X.faces(1), X.top_counts(1)):
+            pair[u, v] = pair[v, u] = t
+    inner = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):  # adding i to a subset below 2^i adds its edges into it
+        inner[1 << i : 2 << i] = inner[: 1 << i] + _subset_sums(pair[i, :i])
+    return _subset_sums(X.top_counts(0)), inner
+
+
+def _mixing_margin(X: Complex, edge_tops, va, vb, lam: float):
+    """||E(A,B)|| minus the mixing right-hand side, from integer top counts.
+
+    With N top faces, top counts L of E(A,B) and v_A of A, the margin is
+    2 (N L - v_A v_B - (d+1) N lam sqrt(v_A v_B)) / (d(d+1)N^2). N L - v_A v_B
+    is exact, in float64 too while (d+1)N < 2^26 (the default 4^n cap keeps
+    n <= 12, so N <= 924): a tie gives 0.0 at lam = 0, never a positive margin.
+    """
+    d, N = X.d, X.n_top
+    lam_term = (d + 1) * N * lam * np.sqrt(va) * np.sqrt(vb)
+    return (N * edge_tops - va * vb - lam_term) * (2.0 / (d * (d + 1) * N * N))
+
+
 @dataclass(frozen=True)
 class MixingReport:
     lhs: Fraction  # exact ||E(A,B)||
@@ -325,14 +308,7 @@ def _vertex_norm(X: Complex, ids: set[int]) -> Fraction:
     return Fraction(sum(tops[v] for v in ids), X.norm_den(0))
 
 
-def mixing_check(
-    X: Complex,
-    R: RegularStructure,
-    a,
-    b,
-    lam: float | None = None,
-    slack: float = MIXING_SLACK,
-) -> MixingReport:
+def mixing_check(X: Complex, R: RegularStructure, a, b, lam: float | None = None) -> MixingReport:
     """One-sided mixing bound for a single pair of vertex sets."""
     if lam is None:
         lam, _ = lambda_max(X, R)
@@ -343,8 +319,9 @@ def mixing_check(
     nb = _vertex_norm(X, sb)
     prod = float(na) * float(nb)
     rhs = 2.0 * (X.d + 1) / X.d * (prod + lam * math.sqrt(prod))
-    f = float(lhs)
-    verdict = "pass" if f <= rhs else ("marginal" if f <= rhs + slack else "fail")
+    den0 = X.norm_den(0)
+    margin = _mixing_margin(X, int(lhs * X.norm_den(1)), int(na * den0), int(nb * den0), lam)
+    verdict = "pass" if margin <= 0.0 else ("marginal" if margin <= MIXING_SLACK else "fail")
     return MixingReport(lhs, rhs, lam, na, nb, verdict)
 
 
@@ -359,59 +336,44 @@ class MixingScan:
 
 
 def mixing_check_all(
-    X: Complex,
-    R: RegularStructure,
-    lam: float | None = None,
-    slack: float = MIXING_SLACK,
-    cap: int | None = None,
-    chunk: int = 512,
+    X: Complex, R: RegularStructure, lam: float | None = None, cap: int | None = None
 ) -> MixingScan:
     """Exhaustive mixing check over every pair of vertex subsets.
 
-    Vectorized float scan; agreement with mixing_check on individual pairs
-    is exercised in the test suite.
+    Vectorized over blocks of pairs; agreement with mixing_check on
+    individual pairs is exercised in the test suite.
     """
     if lam is None:
         lam, _ = lambda_max(X, R)
     n = len(X.vertex_names)
     check_enumeration(4**n, cap, "vertex subset pairs")
     size = 1 << n
-    w = np.zeros((n, n))
-    for (u, v) in X.faces(1):
-        wf = float(X.weight((u, v)))
-        w[u, v] = wf
-        w[v, u] = wf
-    wv = np.array([float(X.weight((v,))) for v in range(n)])
+    vtop, inner = _subset_tops(X)
     masks = np.arange(size, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-    normv = bits @ wv
-    contrib = bits @ w  # contrib[m, v] = sum of w[u, v] for u in m
-    inner = np.zeros(size)
-    for m in range(1, size):
-        low = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        inner[m] = inner[rest] + contrib[rest, low]
+    one = 1 << np.arange(n, dtype=np.int64)
+    bits = ((masks[:, None] & one) != 0).astype(float)
+    # inner[{u, v}] is the top count of edge uv, so rows[m, v] sums the counts
+    # of the edges from subset m to v; BLAS sums of integers are exact
+    rows = bits @ inner[one[:, None] | one].astype(float)
 
-    coef = 2.0 * (X.d + 1) / X.d
     passed = marginal = failed = 0
     max_margin = -math.inf
     failures: list[tuple[int, int]] = []
-    for start in range(0, size, chunk):
-        sel = masks[start : start + chunk]
-        m1 = bits[sel] @ w @ bits.T
-        t3 = inner[sel[:, None] & masks[None, :]]
-        lhs = m1 - t3
-        prod = normv[sel][:, None] * normv[None, :]
-        rhs = coef * (prod + lam * np.sqrt(prod))
-        margin = lhs - rhs
+    step = max(1, MIXING_BLOCK >> n)
+    for start in range(0, size, step):
+        sel = masks[start : start + step]
+        # ordered pairs (u in A, v in B) count an edge inside A & B twice
+        edge_tops = rows[sel] @ bits.T
+        edge_tops -= inner[sel[:, None] & masks]
+        margin = _mixing_margin(X, edge_tops, vtop[sel, None], vtop, lam)
         max_margin = max(max_margin, float(margin.max()))
-        ok = margin <= 0.0
-        marg = (~ok) & (margin <= slack)
-        bad = margin > slack
-        passed += int(ok.sum())
-        marginal += int(marg.sum())
-        failed += int(bad.sum())
-        if bad.any() and len(failures) < 8:
+        above = int(np.count_nonzero(margin > 0.0))
+        bad = margin > MIXING_SLACK
+        n_bad = int(np.count_nonzero(bad))
+        passed += margin.size - above
+        marginal += above - n_bad
+        failed += n_bad
+        if n_bad and len(failures) < 8:
             for r, c in np.argwhere(bad)[: 8 - len(failures)]:
                 failures.append((int(sel[r]), int(c)))
     return MixingScan(size * size, passed, marginal, failed, max_margin, tuple(failures))
@@ -435,9 +397,9 @@ def skeleton_alpha(
     """Least valid skeleton-expansion constant.
 
     Exhaustive mode maximizes (||E(A,A)||/4 - ||A||^2)/||A|| exactly over
-    every nonempty vertex subset and clamps at zero. Spectral mode returns
-    the normalized largest non-trivial eigenvalue as a certified constant
-    for regular complexes.
+    every nonempty vertex subset and clamps at zero; on ties the smallest
+    bitmask is the witness. Spectral mode returns the normalized largest
+    non-trivial eigenvalue as a certified constant for regular complexes.
     """
     if mode == "spectral":
         if R is None:
@@ -448,30 +410,20 @@ def skeleton_alpha(
         raise ValueError(f"unknown mode {mode!r}")
     n = len(X.vertex_names)
     check_enumeration(1 << n, ALPHA_EXHAUSTIVE_CAP if cap is None else cap, "vertex subsets")
-    vt = X.top_counts(0)
-    size = 1 << n
-    etop = [0] * size
-    vtop = [0] * size
-    pair_tops = [[0] * n for _ in range(n)]
-    if X.d >= 1:
-        t1 = X.top_counts(1)
-        for idx, (u, v) in enumerate(X.faces(1)):
-            pair_tops[u][v] = t1[idx]
-            pair_tops[v][u] = t1[idx]
-    for m in range(1, size):
-        low = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        vtop[m] = vtop[rest] + vt[low]
-        row = pair_tops[low]
-        etop[m] = etop[rest] + sum(row[u] for u in iter_bits(rest))
+    vtop, inner = _subset_tops(X)
     den0 = X.norm_den(0)
     den1 = X.norm_den(1) if X.d >= 1 else 1
+    approx = inner[1:] * (den0 / (4 * den1)) / vtop[1:] - vtop[1:] / den0
+    # inner <= den1 and 1 <= vtop <= den0 put both terms in [0, B], B = den0/4 + 1;
+    # five roundings leave each value within 5 * 2^-53 B of the exact one, so a
+    # shortlist 2^-40 B wide holds every exact maximizer
+    bound = (den0 / 4 + 1) * 2.0**-40
     best: tuple[Fraction, int] | None = None
-    for m in range(1, size):
-        na = Fraction(vtop[m], den0)
-        val = (Fraction(etop[m], 4 * den1) - na * na) / na
+    for m in np.flatnonzero(approx >= approx.max() - bound) + 1:
+        na = Fraction(int(vtop[m]), den0)
+        val = (Fraction(int(inner[m]), 4 * den1) - na * na) / na
         if best is None or val > best[0]:
-            best = (val, m)
+            best = (val, int(m))
     raw, mask = best
     witness = tuple(X.vertex_names[v] for v in iter_bits(mask))
     return AlphaReport("exhaustive", max(raw, Fraction(0)), raw, witness)

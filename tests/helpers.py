@@ -193,6 +193,22 @@ def oracle_minimal_representative(X: Complex, A: Cochain) -> Cochain:
     return X.cochain_from_bits(A.k, best[1])
 
 
+def oracle_skeleton_alpha(X: Complex):
+    """(value, raw_max, witness) of the exhaustive skeleton-expansion constant:
+    every nonempty vertex subset in bitmask order, exact norms from
+    X.edges_between and X.weight, the first subset kept on ties."""
+    names = X.vertex_names
+    best = None
+    for bits in range(1, 1 << len(names)):
+        a = tuple(names[i] for i in range(len(names)) if (bits >> i) & 1)
+        na = sum((X.weight((v,)) for v in a), Fraction(0))
+        e = X.edges_between(a, a).norm() if X.d >= 1 else Fraction(0)
+        val = (e / 4 - na * na) / na
+        if best is None or val > best[0]:
+            best = (val, a)
+    return max(best[0], Fraction(0)), best[0], best[1]
+
+
 # -- fat-machinery oracles ----------------------------------------------------------
 
 

@@ -194,11 +194,12 @@ def test_io_errors_are_one_line(tmp_path, capsys, case):
     with open(binary, "wb") as fh:
         fh.write(b"a b\n\xff c\n")
     missing = os.path.join(tmp_path, "nonexistent")
-    argv = {
-        "missing-input": ["info", missing + ".cx"],
-        "not-utf8": ["info", binary],
-        "missing-types": ["spectrum", cx, "--types", missing + ".types"],
-        "bad-out-dir": ["info", cx, "--out", os.path.join(missing, "r.json")],
+    argv, culprit = {
+        "missing-input": (["info", missing + ".cx"], missing + ".cx"),
+        "not-utf8": (["info", binary], binary),
+        "missing-types": (["spectrum", cx, "--types", missing + ".types"], missing + ".types"),
+        "bad-out-dir": (["info", cx, "--out", os.path.join(missing, "r.json")],
+                        os.path.join(missing, "r.json")),
     }[case]
     code = main(argv)
     captured = capsys.readouterr()
@@ -206,6 +207,7 @@ def test_io_errors_are_one_line(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("hdx: error: ")
     assert captured.err.count("\n") == 1
+    assert culprit in captured.err
 
 
 def test_tsv_format(tmp_path, capsys):

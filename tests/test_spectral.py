@@ -2,8 +2,9 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdx.core import build_complex
 from hdx.errors import NotBiregular, NotRegular, NoValidTyping, TooLarge
@@ -16,7 +17,6 @@ from hdx.generators import (
     projective_flag_types,
 )
 from hdx.spectral import (
-    jacobi_eigh,
     lambda2,
     lambda_max,
     mixing_check,
@@ -25,6 +25,7 @@ from hdx.spectral import (
     skeleton_alpha,
     type_graph,
 )
+from helpers import oracle_skeleton_alpha, random_pure_complex
 
 
 def kab(a, b):
@@ -103,19 +104,6 @@ def test_not_biregular_direct():
         type_graph(X, R, 0, 1)
 
 
-def test_jacobi_against_dense_oracle():
-    rng = np.random.default_rng(42)
-    for n in (2, 5, 12, 30):
-        m = rng.standard_normal((n, n))
-        m = m + m.T
-        vals, vecs, resid, off = jacobi_eigh(m)
-        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-        assert np.max(np.abs(vals - ref)) < 1e-9
-        assert resid <= 1e-9
-        assert off <= 1e-12
-        assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - m) <= 1e-9
-
-
 def test_lambda_complete_bipartite_and_trivial():
     for a in range(1, 7):
         for b in range(a, 7):
@@ -187,6 +175,21 @@ def test_mixing_scan_matches_single_checks():
         assert rep.verdict in ("pass", "marginal")
         assert float(rep.lhs) - rep.rhs <= scan.max_margin + 1e-12
 
+    # every pair at lam = 0, where some pairs fail; with three disjoint edges
+    # A = B = {a, b} fails only if the edge inside A & B is counted twice
+    for C in (cycle(6), build_complex([("a", "b"), ("c", "d"), ("e", "f")])):
+        R = regularity(C)
+        scan = mixing_check_all(C, R, lam=0.0)
+        subsets = [[C.vertex_names[i] for i in range(6) if (m >> i) & 1] for m in range(64)]
+        verdicts = [
+            ((am, bm), mixing_check(C, R, a, b, lam=0.0).verdict)
+            for am, a in enumerate(subsets)
+            for bm, b in enumerate(subsets)
+        ]
+        fails = [pair for pair, v in verdicts if v == "fail"]
+        assert scan.failed == len(fails) > 0 and scan.failures == tuple(fails[:8])
+        assert scan.marginal == sum(v == "marginal" for _, v in verdicts)
+
 
 def test_mixing_exhaustive_regular_corpus():
     for X in regular_corpus():
@@ -195,6 +198,14 @@ def test_mixing_exhaustive_regular_corpus():
         R = regularity(X)
         scan = mixing_check_all(X, R)
         assert scan.failed == 0, (X, scan.failures)
+
+
+def test_mixing_exact_ties_are_not_marginal():
+    # these complexes meet the mixing bound with equality on many pairs; a
+    # float margin used to count some of those ties as marginal
+    for X, lam in ((kab(3, 6), 0.0), (complete_partite(2, 4), 0.0), (kab(3, 6), None)):
+        scan = mixing_check_all(X, regularity(X), lam=lam)
+        assert (scan.marginal, scan.failed, scan.max_margin) == (0, 0, 0.0)
 
 
 def test_skeleton_alpha_examples():
@@ -241,3 +252,19 @@ def test_skeleton_alpha_isolated_vertices():
     assert X.d == 0
     rep = skeleton_alpha(X)
     assert rep.value == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: random_pure_complex(random.Random(seed), dims=(0, 1, 2, 3), max_n=9)
+    )
+)
+@example(complete(6, 2))
+@example(complete_partite(2, 2))
+@example(build_complex([("a",), ("b",), ("c",)]))
+def test_skeleton_alpha_matches_oracle(X):
+    # complete(6, 2) and complete_partite(2, 2) have many tied subsets, which
+    # checks that the float shortlist keeps the smallest exact maximizer
+    rep = skeleton_alpha(X)
+    assert (rep.value, rep.raw_max, rep.witness) == oracle_skeleton_alpha(X)
