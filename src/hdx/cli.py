@@ -10,6 +10,7 @@ on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -343,11 +344,12 @@ def _add_common(sub, input_path=True):
     sub.add_argument("--i-know-this-is-exponential", action="store_true",
                      dest="ack_exponential",
                      help="required to raise --cap beyond the default")
-    sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("HDX_THREADS", "1")),
-                     help="worker count; results are independent of it")
+    sub.add_argument("--threads", type=int, default=None,
+                     help="worker count (default: HDX_THREADS, else 1); "
+                          "results are independent of it")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="hdx", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -367,8 +369,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--i-know-this-is-exponential", action="store_true",
                    dest="ack_exponential")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("HDX_THREADS", "1")))
+    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_run_generate, writes_file=True)
 
     p = subs.add_parser("info", help="dimensions, counts, and exact weight sums")
@@ -449,6 +450,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cap is not None and args.cap > DEFAULT_CAP and not args.ack_exponential:
         parser.error("raising --cap beyond the default needs --i-know-this-is-exponential")
+    if args.threads is None:
+        env = os.environ.get("HDX_THREADS", "1")
+        try:
+            args.threads = int(env)
+        except ValueError:
+            sys.stderr.write(f"hdx: error: HDX_THREADS is not an integer: {env!r}\n")
+            return 1
     options = {
         key: (str(value) if isinstance(value, Fraction) else value)
         for key, value in sorted(vars(args).items())

@@ -1,24 +1,44 @@
 """F2 coboundary maps, cocycle/coboundary spaces, cosystoles, expansion.
 
 Expansion parameters and cosystoles are computed by an exact coset-structured
-brute force: enumerate canonical representatives of C^k modulo the subspace
-(coboundaries or cocycles), and within each coset find the minimum-norm
-element. The norm of the coboundary is constant on each coset, so one
-division per coset suffices. A flat scan over all of C^k gives the same
-values and is kept in the test suite as an oracle.
+brute force over the span kernel of `f2`. For expansion, C^k is the span of
+the subspace rows (r of them) followed by the unit vectors at the f non-pivot
+positions, so in counting order each run of 2^r consecutive elements is one
+coset, and its index c among the cosets names the representative at the free
+positions. Each coset is reduced to its least (norm, bits) element; the
+coboundary is linear, so its norm per coset comes from a second span over the
+coboundaries of the free unit vectors. The least (ratio, bits) over cosets is
+decided exactly: the constant den_k / den_up is dropped and ratios are
+compared by integer cross-multiplication, in int64 when the products provably
+fit and in Python ints otherwise. Work proceeds in chunks of at most
+`SPAN_CHUNK` elements whatever the dimensions. A flat scan over all of C^k
+gives the same values and witnesses and is kept in the test suite as an
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Literal
+
+import numpy as np
 
 from .caps import check_enumeration
 from .core import Cochain, Complex
 from .errors import BadDimension
-from .f2 import F2Space, iter_bits, iter_span_gray
+from .f2 import (
+    SPAN_CHUNK,
+    F2Space,
+    SpanTable,
+    WeightTable,
+    first_least,
+    from_words,
+    iter_bits,
+    lexmin,
+)
 
 INFINITE = math.inf
 
@@ -31,7 +51,7 @@ def coboundary(A: Cochain) -> Cochain:
     X = A.complex
     if A.k >= X.d:
         raise BadDimension(f"no coboundary map out of dimension {X.d}")
-    up = X._up[A.k]
+    up = X.up_rows(A.k)
     bits = 0
     for i in iter_bits(A.bits):
         bits ^= up[i]
@@ -69,6 +89,18 @@ class F2Basis:
     def row_bits(self) -> list[int]:
         return [r.bits for r in self.rows]
 
+    @cached_property
+    def span(self) -> SpanTable:
+        """The rows as a span-kernel table; built once per memoized basis."""
+        return SpanTable(self.row_bits(), self.complex.n_faces(self.k))
+
+    @cached_property
+    def least_weight(self) -> int:
+        """Least top-count sum of a nonzero element (0 for the zero space)."""
+        weigh = self.complex.weight_table(self.k)
+        chunks = self.span.chunks(1, 1 << self.dim)
+        return min((int(weigh(e).min()) for _, e in chunks), default=0)
+
 
 def space_basis(X: Complex, k: int, kind: Kind) -> F2Basis:
     """Echelon basis of ker(delta^k) or im(delta^(k-1)); memoized per complex.
@@ -91,8 +123,7 @@ def space_basis(X: Complex, k: int, kind: Kind) -> F2Basis:
 
     j = k if kind == "cocycles" else k - 1
     image, kernel = F2Space(), F2Space()
-    up = X._up[j] if j < X.d else [0] * X.n_faces(j)
-    for i, img in enumerate(up):
+    for i, img in enumerate(X.up_rows(j)):
         img, tag = image.reduce_tagged(img, 1 << i)
         if img:
             image.add(img, tag)
@@ -133,13 +164,18 @@ def cosystole(X: Complex, k: int, cap: int | None = None) -> CosystoleReport:
     zbasis = space_basis(X, k, "cocycles")
     bbasis = space_basis(X, k, "coboundaries")
     check_enumeration(1 << zbasis.dim, cap, f"cocycle space at dimension {k}")
-    tops = X.top_counts(k)
+    # Z^k \ B^k is every element of span(B rows, C rows) with a nonzero
+    # C part, where C spans the cocycle rows reduced modulo B^k.
+    complement = F2Space()
+    for z in zbasis.rows:
+        complement.add(bbasis.reduce(z).bits)
+    rows = bbasis.row_bits() + complement.rows()
+    span = SpanTable(rows, X.n_faces(k))
+    weigh = X.weight_table(k)
     best: tuple[int, int] | None = None  # (top_sum, bits)
-    for z in iter_span_gray(zbasis.row_bits()):
-        if z == 0 or bbasis._space.contains(z):
-            continue
-        t = sum(tops[i] for i in iter_bits(z))
-        cand = (t, z)
+    for _, elems in span.chunks(1 << bbasis.dim, 1 << len(rows)):
+        t, bits = lexmin(weigh(elems)[None], elems[None])
+        cand = (int(t[0]), from_words(bits[0]))
         if best is None or cand < best:
             best = cand
     if best is None:
@@ -175,31 +211,63 @@ def expansion(X: Complex, k: int, mode: Mode, cap: int | None = None) -> Expansi
     pivot_set = {(r & -r).bit_length() - 1 for r in rows}
     free = [i for i in range(n) if i not in pivot_set]
 
-    tops = X.top_counts(k)
-    den_k = X.norm_den(k)
-    den_up = X.norm_den(k + 1)
-    up = X._up[k]
+    r, n_cosets = len(rows), 1 << len(free)
+    span = SpanTable(rows + [1 << i for i in free], n)
+    up = X.up_rows(k)
+    dspan = SpanTable([up[i] for i in free], X.n_faces(k + 1))
+    weigh, weigh_up = X.weight_table(k), X.weight_table(k + 1)
 
-    best: tuple[Fraction, int] | None = None  # (ratio, witness bits)
-    for c in range(1, 1 << len(free)):
-        rep = 0
-        for t in iter_bits(c):
-            rep |= 1 << free[t]
-        db = 0
-        for i in iter_bits(rep):
-            db ^= up[i]
-        d_top = sum(X.top_counts(k + 1)[i] for i in iter_bits(db))
-        coset_best: tuple[int, int] | None = None
-        for s in iter_span_gray(rows):
-            cand = rep ^ s
-            t = sum(tops[i] for i in iter_bits(cand))
-            item = (t, cand)
-            if coset_best is None or item < coset_best:
-                coset_best = item
-        ratio = Fraction(d_top * den_k, den_up * coset_best[0])
-        item = (ratio, coset_best[1])
-        if best is None or item < best:
-            best = item
+    best: tuple[Fraction, int] | None = None  # (d_top / coset norm, witness bits)
+    per_batch = max(1, SPAN_CHUNK >> r)
+    c0 = 1
+    while c0 < n_cosets:
+        c1 = min(c0 - c0 % per_batch + per_batch, n_cosets)  # ends on a chunk boundary
+        norms, mins = _coset_minima(span, weigh, r, c0, c1)
+        d_tops = weigh_up(np.concatenate([e for _, e in dspan.chunks(c0, c1)]))
+        i = _least_ratio(d_tops, norms, mins)
+        cand = (Fraction(int(d_tops[i]), int(norms[i])), from_words(mins[i]))
+        if best is None or cand < best:
+            best = cand
+        c0 = c1
     if best is None:
         return ExpansionReport(k, mode, INFINITE, None)
-    return ExpansionReport(k, mode, best[0], Cochain(X, k, best[1]))
+    value = best[0] * Fraction(X.norm_den(k), X.norm_den(k + 1))
+    return ExpansionReport(k, mode, value, Cochain(X, k, best[1]))
+
+
+def _coset_minima(
+    span: SpanTable, weigh: WeightTable, r: int, c0: int, c1: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least (norm, bits) of each coset c0..c1-1: elements c*2^r .. (c+1)*2^r - 1.
+
+    The cosets lie in one chunk, or c1 = c0 + 1 and the coset spans whole
+    chunks; it is then reduced chunk by chunk, then over the chunk minima."""
+    size = min(1 << r, SPAN_CHUNK)
+    norms, mins = [], []
+    for _, elems in span.chunks(c0 << r, c1 << r):
+        elems = elems.reshape(-1, size, span.words)
+        t, e = lexmin(weigh(elems), elems)
+        norms.append(t)
+        mins.append(e)
+    if len(norms) == 1:
+        return norms[0], mins[0]
+    return lexmin(np.concatenate(norms)[None], np.concatenate(mins)[None])
+
+
+def _least_ratio(p: np.ndarray, q: np.ndarray, elems: np.ndarray) -> int:
+    """Index of the least (p/q, element) pair, q > 0, decided in integers.
+
+    A float argmin only picks where to start; a candidate stays only when no
+    p*q_i < p_i*q remains. Products go to Python ints unless int64 holds them.
+    """
+    if int(p.max()) * int(q.max()) >= 1 << 63:
+        p, q = p.astype(object), q.astype(object)
+    ratio = p / q
+    i = int(np.argmin(ratio))
+    while True:
+        less = np.flatnonzero(p * q[i] < p[i] * q)
+        if not len(less):
+            break
+        i = int(less[np.argmin(ratio[less])])
+    tie = (p * q[i] == p[i] * q).astype(bool)
+    return int(first_least(tie[None], elems[None])[0])

@@ -27,7 +27,7 @@ from .errors import (
     NotPure,
     UnknownVertex,
 )
-from .f2 import iter_bits
+from .f2 import WeightTable, iter_bits
 
 Face = tuple[int, ...]  # sorted internal vertex ids; () is the (-1)-face
 
@@ -61,18 +61,20 @@ class Complex:
             self._den[k] = comb(d + 1, k + 1) * n_top
 
         # up[k][i] = bitmask over X(k+1) of the cofaces of face i in X(k)
-        self._up: dict[int, list[int]] = {k: [0] * len(self._faces[k]) for k in range(-1, d)}
+        up: dict[int, list[int]] = {k: [0] * len(self._faces[k]) for k in range(-1, d + 1)}
         for k in range(0, d + 1):
             idx_down = self._index[k - 1]
-            up_row = self._up[k - 1]
+            up_row = up[k - 1]
             for i, f in enumerate(self._faces[k]):
                 bit = 1 << i
                 for sub in combinations(f, k):
                     up_row[idx_down[sub]] |= bit
+        self._up = {k: tuple(rows) for k, rows in up.items()}
 
         self._links: dict[Face, Complex] = {}
         self._link_maps: dict[Face, dict[int, tuple[list[int], dict[int, int]]]] = {}
         self._skeletons: dict[int, Complex] = {}
+        self._weight_tables: dict[int, WeightTable] = {}
         self._cache: dict = {}  # scratch memoization for other modules
         self._hash = hash((d, vertex_names, self._faces[d]))
 
@@ -187,6 +189,19 @@ class Complex:
     def top_counts(self, k: int) -> tuple[int, ...]:
         self._check_dim(k)
         return self._tops[k]
+
+    def up_rows(self, k: int) -> tuple[int, ...]:
+        """Rows of delta^k: row i is the bitmask over X(k+1) of the cofaces of
+        face i of X(k); all zero at k = d."""
+        self._check_dim(k)
+        return self._up[k]
+
+    def weight_table(self, k: int) -> WeightTable:
+        """top_counts(k) as a span-kernel weight table, built once."""
+        self._check_dim(k)
+        if k not in self._weight_tables:
+            self._weight_tables[k] = WeightTable(self._tops[k])
+        return self._weight_tables[k]
 
     def norm_den(self, k: int) -> int:
         self._check_dim(k)

@@ -37,7 +37,7 @@ def localized_norm(X: Complex, i: int, level_bits: int, face_idx: int) -> Fracti
     The face has dimension i-1; the value equals the weighted count of level
     members containing it, divided by (i+1) times the face weight.
     """
-    cof = X._up[i - 1][face_idx] & level_bits
+    cof = X.up_rows(i - 1)[face_idx] & level_bits
     if cof == 0:
         return Fraction(0)
     tops_i = X.top_counts(i)
@@ -84,7 +84,7 @@ def _climb(X: Complex, levels: dict[int, Cochain], i: int, start_bits: int) -> i
     for j in range(i, k):
         if bits == 0:
             break
-        up = X._up[j]
+        up = X.up_rows(j)
         nxt = 0
         for t in iter_bits(bits):
             nxt |= up[t]
@@ -122,7 +122,7 @@ def fat_profile(X: Complex, A: Cochain, eta: Fraction) -> FatProfile:
             continue
         sprev = levels[j - 1].bits
         faces_j = X.faces(j)
-        up_prev = X._up[j - 1]
+        up_prev = X.up_rows(j - 1)
         for t in range(X.n_faces(j - 1)):
             if (sprev >> t) & 1:
                 continue

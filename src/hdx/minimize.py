@@ -15,7 +15,7 @@ from .caps import check_enumeration
 from .cohomology import coboundary, space_basis
 from .core import Cochain, Complex, Face
 from .errors import BadDimension
-from .f2 import iter_bits, iter_span_gray
+from .f2 import iter_bits
 
 
 def is_minimal(X: Complex, A: Cochain, cap: int | None = None) -> bool:
@@ -25,12 +25,10 @@ def is_minimal(X: Complex, A: Cochain, cap: int | None = None) -> bool:
         return True  # B^(-1) is trivial
     basis = space_basis(X, A.k, "coboundaries")
     check_enumeration(1 << basis.dim, cap, f"coboundary space at dimension {A.k}")
-    tops = X.top_counts(A.k)
+    weigh = X.weight_table(A.k)
     base = A.top_sum()
-    for s in iter_span_gray(basis.row_bits()):
-        if s and sum(tops[i] for i in iter_bits(A.bits ^ s)) < base:
-            return False
-    return True
+    shifts = basis.span.chunks(1, 1 << basis.dim, A.bits)
+    return not any((weigh(s) < base).any() for _, s in shifts)
 
 
 def _candidate_sites(X: Complex, A: Cochain) -> list[Face]:
@@ -85,14 +83,15 @@ def _first_improving_move(
             check_enumeration(
                 1 << basis.dim, cap, f"link coboundary space at {X.tokens_of(sigma)}"
             )
-            rows = basis.row_bits()
-            tops = link.top_counts(loc.k)
             base = loc.top_sum()
-            for m in range(1, 1 << basis.dim):
-                b = 0
-                for i in iter_bits(m):
-                    b ^= rows[i]
-                if sum(tops[i] for i in iter_bits(loc.bits ^ b)) < base:
+            # a shift s lowers the norm only if w(s) < 2 w(loc & s) <= 2 w(loc)
+            if basis.least_weight >= 2 * base:
+                continue
+            weigh = link.weight_table(loc.k)
+            for lo, shifted in basis.span.chunks(1, 1 << basis.dim, loc.bits):
+                better = weigh(shifted) < base
+                if better.any():
+                    m = lo + int(better.argmax())
                     c_bits = 0
                     for i in iter_bits(m):
                         c_bits ^= basis.preimages[i].bits

@@ -11,7 +11,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hdx.caps import check_enumeration
+from hdx.cohomology import space_basis
 from hdx.core import Cochain, Complex, build_complex
+from hdx.f2 import iter_bits
 
 # -- random instances --------------------------------------------------------
 
@@ -109,26 +112,43 @@ def _norm_table(tops, n: int) -> list[int]:
     return table
 
 
+def _top_sum(tops, bits: int) -> int:
+    total = 0
+    while bits:
+        low = bits & -bits
+        total += tops[low.bit_length() - 1]
+        bits ^= low
+    return total
+
+
+def report_pair(rep) -> tuple:
+    """(value, witness bits or None) of an expansion or cosystole report."""
+    return rep.value, rep.witness.bits if rep.witness is not None else None
+
+
 def oracle_flat_expansion(X: Complex, k: int, mode: str):
-    """Flat scan of every k-cochain; returns the expansion value (or inf).
+    """Flat scan of every k-cochain; returns (value, witness bits), or
+    (inf, None) when C^k equals the subspace.
 
     Coboundaries of singletons come from direct subset counting; a flat
     pass groups cochains into cosets by an independent echelon reduction.
+    The witness is the least (norm, bits) element of its coset, and the
+    least (ratio, witness bits) pair wins.
     """
     n = X.n_faces(k)
     kind = "coboundaries" if mode == "coboundary" else "cocycles"
     rows = oracle_subspace_rows(X, k, kind)
     singles = [oracle_coboundary_bits(X, k, 1 << i) for i in range(n)]
     norm_k = _norm_table(X.top_counts(k), n)
-    norm_up = _norm_table(X.top_counts(k + 1), X.n_faces(k + 1))
+    tops_up = X.top_counts(k + 1)
     den_k = X.norm_den(k)
     den_up = X.norm_den(k + 1)
-    coset_min: dict[int, int] = {}
+    coset_min: dict[int, tuple[int, int]] = {}
     for bits in range(1 << n):
         key = gf2_canonical(bits, rows)
-        t = norm_k[bits]
-        if key not in coset_min or t < coset_min[key]:
-            coset_min[key] = t
+        cand = (norm_k[bits], bits)
+        if key not in coset_min or cand < coset_min[key]:
+            coset_min[key] = cand
     best = None
     for bits in range(1 << n):
         key = gf2_canonical(bits, rows)
@@ -138,13 +158,16 @@ def oracle_flat_expansion(X: Complex, k: int, mode: str):
         for i in range(n):
             if (bits >> i) & 1:
                 db ^= singles[i]
-        ratio = Fraction(norm_up[db] * den_k, den_up * coset_min[key])
-        if best is None or ratio < best:
-            best = ratio
-    return float("inf") if best is None else best
+        norm, witness = coset_min[key]
+        cand = (Fraction(_top_sum(tops_up, db) * den_k, den_up * norm), witness)
+        if best is None or cand < best:
+            best = cand
+    return (float("inf"), None) if best is None else best
 
 
 def oracle_flat_cosystole(X: Complex, k: int):
+    """(value, witness bits) of the least (norm, bits) cocycle outside B^k by a
+    flat scan of C^k, or (inf, None)."""
     n = X.n_faces(k)
     brows = oracle_subspace_rows(X, k, "coboundaries")
     singles = (
@@ -162,10 +185,12 @@ def oracle_flat_cosystole(X: Complex, k: int):
                 continue
         if gf2_canonical(bits, brows) == 0:
             continue
-        t = norm_k[bits]
-        if best is None or t < best:
-            best = t
-    return float("inf") if best is None else Fraction(best, X.norm_den(k))
+        cand = (norm_k[bits], bits)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return float("inf"), None
+    return Fraction(best[0], X.norm_den(k)), best[1]
 
 
 def oracle_is_minimal(X: Complex, A: Cochain) -> bool:
@@ -191,6 +216,35 @@ def oracle_minimal_representative(X: Complex, A: Cochain) -> Cochain:
         if cand < best:
             best = cand
     return X.cochain_from_bits(A.k, best[1])
+
+
+def oracle_first_improving_move(X: Complex, A: Cochain, cap: int | None):
+    """Reference move search by direct loops over Python ints: sites by
+    dimension then canonical order, and at each site the first strictly
+    improving combination m of the link's B^k rows in counting order."""
+    for size in range(1, A.k + 1):
+        for sigma in X.faces(size - 1):
+            loc = X.localize(sigma, A)
+            if not loc:
+                continue
+            link = X.link(sigma)
+            basis = space_basis(link, loc.k, "coboundaries")
+            check_enumeration(
+                1 << basis.dim, cap, f"link coboundary space at {X.tokens_of(sigma)}"
+            )
+            rows = basis.row_bits()
+            tops = link.top_counts(loc.k)
+            base = loc.top_sum()
+            for m in range(1, 1 << basis.dim):
+                b = 0
+                for i in iter_bits(m):
+                    b ^= rows[i]
+                if sum(tops[i] for i in iter_bits(loc.bits ^ b)) < base:
+                    c_bits = 0
+                    for i in iter_bits(m):
+                        c_bits ^= basis.preimages[i].bits
+                    return sigma, Cochain(link, loc.k - 1, c_bits)
+    return None
 
 
 def oracle_skeleton_alpha(X: Complex):

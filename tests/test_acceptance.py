@@ -45,6 +45,7 @@ from helpers import (
     oracle_minimal_representative,
     random_cochain,
     random_pure_complex,
+    report_pair,
 )
 
 
@@ -178,10 +179,10 @@ def test_acceptance_2_cohomology_oracles():
             if X.n_faces(k) > 16 or X.n_faces(k - 1) > 16:
                 continue
             for mode in ("coboundary", "cocycle"):
-                assert expansion(X, k, mode).value == oracle_flat_expansion(
+                assert report_pair(expansion(X, k, mode)) == oracle_flat_expansion(
                     X, k, mode
                 )
-            assert cosystole(X, k).value == oracle_flat_cosystole(X, k)
+            assert report_pair(cosystole(X, k)) == oracle_flat_cosystole(X, k)
             compared += 1
     assert compared >= 25
     assert time.time() - started < 120

@@ -239,3 +239,18 @@ def test_lm_generate_reports_dropped(tmp_path, capsys):
     assert rep["kept_top_faces"] >= 1
     assert isinstance(rep["dropped_faces"], list)
     assert load_complex(cx).d == 2
+
+
+def test_bad_hdx_threads_is_one_line(tmp_path, capsys, monkeypatch):
+    cx = os.path.join(tmp_path, "c.cx")
+    monkeypatch.setenv("HDX_THREADS", "abc")
+    code = main(["generate", "--kind", "cycle", "--n", "4", "--out", cx])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not os.path.exists(cx)
+    assert captured.err == "hdx: error: HDX_THREADS is not an integer: 'abc'\n"
+    # an explicit --threads never reads the variable; the report ignores the count
+    code, out = run_cli(capsys, "generate", "--kind", "cycle", "--n", "4", "--out", cx,
+                        "--threads", "3")
+    assert code == 0
+    monkeypatch.setenv("HDX_THREADS", "2")
+    assert run_cli(capsys, "info", cx) == run_cli(capsys, "info", cx, "--threads", "5")

@@ -2,9 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdx.cohomology import (
+    _least_ratio,
     coboundary,
     cohomology_dim,
     cosystole,
@@ -13,14 +17,18 @@ from hdx.cohomology import (
 )
 from hdx.core import build_complex
 from hdx.errors import BadDimension, TooLarge
-from hdx.f2 import F2Space
-from hdx.generators import complete, cycle
+from hdx.f2 import SPAN_CHUNK, F2Space, SpanTable, WeightTable, from_words, lexmin
+from hdx.generators import complete, complete_partite, cycle
+from hdx.minimize import is_minimal
 from helpers import (
     oracle_coboundary_bits,
     oracle_flat_cosystole,
     oracle_flat_expansion,
+    oracle_is_minimal,
+    oracle_minimal_representative,
     random_cochain,
     random_pure_complex,
+    report_pair,
 )
 
 
@@ -217,8 +225,8 @@ def test_flat_scan_oracle_agreement():
             if X.n_faces(k) > 12 or X.n_faces(k - 1) > 12:
                 continue
             for mode in ("coboundary", "cocycle"):
-                assert expansion(X, k, mode).value == oracle_flat_expansion(X, k, mode)
-            assert cosystole(X, k).value == oracle_flat_cosystole(X, k)
+                assert report_pair(expansion(X, k, mode)) == oracle_flat_expansion(X, k, mode)
+            assert report_pair(cosystole(X, k)) == oracle_flat_cosystole(X, k)
             cases += 1
     assert cases >= 20
 
@@ -258,3 +266,125 @@ def test_enumeration_cap():
         expansion(X, 1, "coboundary", cap=1 << 10)
     # explicit larger cap allows it
     assert expansion(X, 1, "coboundary", cap=1 << 22).value > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: random_pure_complex(random.Random(seed), max_n=7, max_tops=5)
+    )
+)
+@example(complete(12, 1))  # delta^0 has 66 > 64 bits: two-word coboundary rows
+@example(complete(5, 2))  # many coset and ratio ties
+@example(complete_partite(2, 2))
+def test_kernel_matches_oracles(X):
+    rng = random.Random(X.n_top)
+    for k in range(0, X.d + 1):
+        if X.n_faces(k) > 12 or X.n_faces(k - 1) > 12:
+            continue
+        if k < X.d:
+            for mode in ("coboundary", "cocycle"):
+                assert report_pair(expansion(X, k, mode)) == oracle_flat_expansion(X, k, mode)
+        assert report_pair(cosystole(X, k)) == oracle_flat_cosystole(X, k)
+        A = random_cochain(rng, X, k)
+        assert is_minimal(X, A) == oracle_is_minimal(X, A)
+        assert is_minimal(X, oracle_minimal_representative(X, A))
+
+
+def _two_cycles(a: int, b: int):
+    """Disjoint cycles on vertices p00.. and q00..; the p-cycle sorts first."""
+    def ring(tag, n):
+        return [(f"{tag}{i:02d}", f"{tag}{(i + 1) % n:02d}") for i in range(n)]
+
+    return build_complex(ring("p", a) + ring("q", b))
+
+
+def test_wide_cochains():
+    # 70 vertices: every 0-cochain spans two uint64 words
+    X = _two_cycles(40, 30)
+    rep = cosystole(X, 0)
+    q_cycle = X.cochain(0, [(f"q{i:02d}",) for i in range(30)])
+    assert rep.value == Fraction(60, 140) and rep.witness == q_cycle
+    # equal components tie on norm; the witness is the smaller integer
+    Y = _two_cycles(35, 35)
+    assert cosystole(Y, 0).witness == Y.cochain(0, [(f"p{i:02d}",) for i in range(35)])
+    # Z^0 = B^0 on a connected graph: the cocycle space has no non-coboundary
+    C = cycle(70)
+    assert report_pair(cosystole(C, 0)) == (math.inf, None)
+    half = C.cochain_from_bits(0, (1 << 35) - 1)
+    assert is_minimal(C, half)  # ties its complement
+    assert not is_minimal(C, C.cochain_from_bits(0, (1 << 36) - 1))
+    assert is_minimal(C, C.cochain_from_bits(0, ((1 << 34) - 1) << 36))
+
+
+@pytest.mark.parametrize("chunk", [4, SPAN_CHUNK])
+def test_span_kernel_against_ints(monkeypatch, chunk):
+    monkeypatch.setattr("hdx.f2.SPAN_CHUNK", chunk)
+    rng = random.Random(23)
+    for width in (1, 7, 63, 64, 65, 130, 200):
+        for dim in (0, 1, 5, 11):
+            rows = [rng.getrandbits(width) for _ in range(dim)]
+            off = rng.getrandbits(width)
+            span = SpanTable(rows, width)
+            want = []
+            for m in range(1 << dim):
+                v = off
+                for i in range(dim):
+                    if (m >> i) & 1:
+                        v ^= rows[i]
+                want.append(v)
+            lo = rng.randrange(1 << dim)
+            hi = rng.randrange(lo, (1 << dim) + 1)
+            pieces = list(span.chunks(lo, hi, off))
+            assert [from_words(e) for _, c in pieces for e in c] == want[lo:hi]
+            size = min(1 << dim, chunk)
+            starts = [lo] + list(range(lo - lo % size + size, hi, size)) if lo < hi else []
+            assert [start for start, _ in pieces] == starts
+            elems = np.concatenate([c for _, c in span.chunks(0, 1 << dim, off)])
+            counts = [rng.randint(1, 50) for _ in range(width)]
+            weights = WeightTable(counts)(elems)
+            assert list(weights) == [sum(c for i, c in enumerate(counts) if (v >> i) & 1)
+                                     for v in want]
+            # lexmin over groups of two (the grid of a one-row subspace)
+            if dim:
+                keys = weights % 3  # many ties on the key
+                t, e = lexmin(keys.reshape(-1, 2), elems.reshape(-1, 2, span.words))
+                expect = [min((int(keys[j]), want[j]) for j in (i, i + 1))
+                          for i in range(0, len(want), 2)]
+                assert [(int(a), from_words(b)) for a, b in zip(t, e)] == expect
+
+
+@pytest.mark.parametrize("chunk", [1, 4])
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # with tiny chunks every coset spans several of them, and the cross-chunk
+    # merge of coset minima and of ratio candidates decides the witness
+    monkeypatch.setattr("hdx.f2.SPAN_CHUNK", chunk)
+    monkeypatch.setattr("hdx.cohomology.SPAN_CHUNK", chunk)
+    rng = random.Random(29)
+    for X in [complete(5, 2), cycle(6)] + [
+        random_pure_complex(rng, max_n=6, max_tops=4) for _ in range(6)
+    ]:
+        for k in range(0, X.d + 1):
+            if X.n_faces(k) > 10:
+                continue
+            if k < X.d:
+                for mode in ("coboundary", "cocycle"):
+                    assert report_pair(expansion(X, k, mode)) == oracle_flat_expansion(X, k, mode)
+            assert report_pair(cosystole(X, k)) == oracle_flat_cosystole(X, k)
+
+
+def test_least_ratio_is_exact():
+    elems = np.array([[5], [3]], dtype=np.uint64)
+    # float64 rounds 2^53 + 1 down and calls index 0 the least; exactly,
+    # 1 - 1/(2^53 + 1) < 1 - 1/(2^53 + 2). The products need Python ints.
+    p = np.array([2**53 + 1, 2**53], dtype=np.int64)
+    q = np.array([2**53 + 2, 2**53 + 1], dtype=np.int64)
+    assert p[0] / q[0] <= p[1] / q[1]
+    assert _least_ratio(p, q, elems) == 1
+    # here p[1] * q[0] < p[0] * q[1] modulo 2^64, but not in the integers
+    p = np.array([1385316916042, 2141487530237], dtype=np.int64)
+    q = np.array([2133900681129, 1521424866611], dtype=np.int64)
+    assert _least_ratio(p, q, elems) == 0
+    # equal ratios: the smaller element wins
+    assert _least_ratio(np.array([2, 1]), np.array([4, 2]), elems) == 1
+    assert _least_ratio(np.array([0, 0]), np.array([1, 7]), elems[::-1]) == 0

@@ -8,6 +8,7 @@ from hdx.errors import BadDimension
 from hdx.generators import complete, cycle
 from hdx.minimize import is_locally_minimal, is_minimal, locally_minimize
 from helpers import (
+    oracle_first_improving_move,
     oracle_is_minimal,
     oracle_minimal_representative,
     random_cochain,
@@ -119,3 +120,29 @@ def test_locally_minimize_rejects_negative_dimension():
     X = build_complex([("a", "b")])
     with pytest.raises(BadDimension):
         locally_minimize(X, X.cochain_from_bits(-1, 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_locally_minimize_takes_the_first_improving_move(monkeypatch, d):
+    rng = random.Random(41 + d)
+    cases = []
+    for _ in range(25):
+        X = random_pure_complex(rng, dims=(d,), max_n=8, max_tops=8)
+        k = rng.randint(1, X.d)
+        cases.append((X, random_cochain(rng, X, k)))
+    if d == 2:
+        # the apex link is cycle(70): its 0-cochains span two uint64 words
+        ring = [(f"v{i:02d}", f"v{(i + 1) % 70:02d}") for i in range(70)]
+        cone = build_complex([("apex",) + e for e in ring])
+        cases.append((cone, cone.cochain(1, [("apex", f"v{i:02d}") for i in range(41)])))
+
+    def run():
+        return [locally_minimize(X, A) for X, A in cases]
+
+    got = run()
+    monkeypatch.setattr("hdx.minimize._first_improving_move", oracle_first_improving_move)
+    want = run()
+    assert sum(len(t.steps) for t in want) >= 10
+    for g, w in zip(got, want):
+        assert g.final == w.final and g.gamma == w.gamma
+        assert [(s, c.bits) for s, c in g.steps] == [(s, c.bits) for s, c in w.steps]
