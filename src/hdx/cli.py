@@ -20,7 +20,7 @@ from . import __version__
 from .caps import DEFAULT_CAP
 from .cohomology import cosystole, expansion
 from .core import Complex
-from .criterion import constants, criterion_report
+from .criterion import constants, criterion_report, least_link_expansion, link_expansions
 from .errors import HdxError
 from .fat import fat_profile, verify_seep
 from .generators import (
@@ -208,24 +208,12 @@ def _run_fat_profile(args):
     return result, input_info, 0
 
 
-def _min_link_expansion(X: Complex, cap):
-    best = None
-    for size in range(1, X.d):
-        for sigma in X.faces(size - 1):
-            link = X.link(sigma)
-            for k in range(0, link.d):
-                value = expansion(link, k, "coboundary", cap).value
-                if value != float("inf") and (best is None or value < best):
-                    best = value
-    return best
-
-
 def _run_seep_check(args):
     X, input_info = _load_input(args)
     A = _cochain(X, args)
     beta = args.beta
     if beta is None:
-        beta = _min_link_expansion(X, args.cap)
+        beta, _ = least_link_expansion(X, link_expansions(X, args.cap))
         if beta is None:
             raise HdxError("no proper links to measure beta from; pass --beta")
     rep = verify_seep(X, A, args.eta, beta, cap=args.cap)

@@ -118,8 +118,9 @@ def space_basis(X: Complex, k: int, kind: Kind) -> F2Basis:
     if not lo <= k <= X.d:
         raise BadDimension(f"no {kind} basis at dimension {k} (valid {lo}..{X.d})")
     key = ("basis", k, kind)
-    if key in X._cache:
-        return X._cache[key]
+    memo = X.memo
+    if key in memo:
+        return memo[key]
 
     j = k if kind == "cocycles" else k - 1
     image, kernel = F2Space(), F2Space()
@@ -130,15 +131,15 @@ def space_basis(X: Complex, k: int, kind: Kind) -> F2Basis:
         else:
             kernel.add(tag)
     rows = tuple(Cochain(X, j, v) for v in kernel.rows())
-    X._cache[("basis", j, "cocycles")] = F2Basis(X, j, "cocycles", rows, None, kernel)
+    memo[("basis", j, "cocycles")] = F2Basis(X, j, "cocycles", rows, None, kernel)
     if j < X.d:
         pairs = image.tagged_rows()
         rows = tuple(Cochain(X, j + 1, v) for v, _ in pairs)
         preimages = tuple(Cochain(X, j, t) for _, t in pairs)
-        X._cache[("basis", j + 1, "coboundaries")] = F2Basis(
+        memo[("basis", j + 1, "coboundaries")] = F2Basis(
             X, j + 1, "coboundaries", rows, preimages, image
         )
-    return X._cache[key]
+    return memo[key]
 
 
 def cohomology_dim(X: Complex, k: int) -> int:

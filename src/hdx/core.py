@@ -14,8 +14,9 @@ All weights and norms are exact `fractions.Fraction` values.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -42,11 +43,10 @@ class Complex:
         self._vid = {name: i for i, name in enumerate(vertex_names)}
 
         # downward closure with top-face incidence counts
-        counts: dict[int, dict[Face, int]] = {k: {} for k in range(-1, d + 1)}
-        for top in top_faces:
-            for k in range(-1, d + 1):
-                for sub in combinations(top, k + 1):
-                    counts[k][sub] = counts[k].get(sub, 0) + 1
+        counts = {
+            k: Counter(chain.from_iterable(combinations(top, k + 1) for top in top_faces))
+            for k in range(-1, d + 1)
+        }
 
         n_top = len(top_faces)
         self._faces: dict[int, tuple[Face, ...]] = {}
@@ -71,11 +71,12 @@ class Complex:
                     up_row[idx_down[sub]] |= bit
         self._up = {k: tuple(rows) for k, rows in up.items()}
 
-        self._links: dict[Face, Complex] = {}
-        self._link_maps: dict[Face, dict[int, tuple[list[int], dict[int, int]]]] = {}
+        # per proper face f: (link, parent id of each link vertex, and per
+        # link dimension the parent index of each link face)
+        self._links: dict[Face, tuple[Complex, tuple[int, ...], dict[int, list[int]]]] = {}
         self._skeletons: dict[int, Complex] = {}
         self._weight_tables: dict[int, WeightTable] = {}
-        self._cache: dict = {}  # scratch memoization for other modules
+        self.memo: dict = {}  # objects other modules derive from this complex, by key
         self._hash = hash((d, vertex_names, self._faces[d]))
 
     # -- construction -------------------------------------------------------
@@ -85,13 +86,26 @@ class Complex:
         """Downward closure of the given maximal faces.
 
         Faces that are subsets of other input faces are absorbed silently;
-        after absorption all maximal faces must share one dimension.
+        after absorption all maximal faces must share one dimension. Only a
+        face smaller than the largest input face can be absorbed, and it is
+        tested only against the input faces through its least-used vertex,
+        so pure input costs no subset test and builds in time linear in its
+        faces.
         """
         sets = {frozenset(str(t) for t in f) for f in maximal_faces}
         sets = {s for s in sets if s}
         if not sets:
             raise EmptyInput("no nonempty maximal faces given")
-        maximal = [s for s in sets if not any(s < t for t in sets)]
+        top = max(map(len, sets))
+        star = defaultdict(list)  # vertex -> input faces through it
+        if any(len(s) < top for s in sets):
+            for t in sets:
+                for v in t:
+                    star[v].append(t)
+        maximal = [
+            s for s in sets
+            if len(s) == top or not any(s < t for t in min((star[v] for v in s), key=len))
+        ]
         sizes = {len(s) for s in maximal}
         if len(sizes) != 1:
             small = min(maximal, key=len)
@@ -263,26 +277,31 @@ class Complex:
         if not f:
             return self
         if f not in self._links:
+            # ids are in sorted-token order, so renumbering the link's vertices
+            # densely in id order gives exactly Complex.build of its tokens
+            k = len(f) - 1
+            star = self.container(Cochain(self, k, 1 << self._index[k][f]), self.d)
             fset = set(f)
-            tops = [
-                self.tokens_of(tuple(v for v in top if v not in fset))
-                for top in self._faces[self.d]
-                if fset.issubset(top)
-            ]
-            self._links[f] = Complex.build(tops)
-            self._link_maps[f] = {}
-        return self._links[f]
+            rests = [tuple(v for v in top if v not in fset) for top in star.faces()]
+            ids = tuple(sorted(set(chain.from_iterable(rests))))
+            new = {v: i for i, v in enumerate(ids)}
+            link = Complex(
+                self.d - len(f),
+                tuple(self.vertex_names[v] for v in ids),
+                tuple(sorted(tuple(new[v] for v in rest) for rest in rests)),
+            )
+            self._links[f] = (link, ids, {})
+        return self._links[f][0]
 
-    def _link_map(self, f: Face, k_link: int) -> tuple[list[int], dict[int, int]]:
-        """Index maps between link faces at k_link and their parent faces."""
-        link = self._links[f]
-        maps = self._link_maps[f]
+    def _link_map(self, f: Face, k_link: int) -> list[int]:
+        """Parent index of each link face at k_link."""
+        link, ids, maps = self._links[f]
         if k_link not in maps:
-            to_parent = []
-            for lf in link._faces[k_link]:
-                parent = tuple(sorted(f + tuple(self._vid[t] for t in link.tokens_of(lf))))
-                to_parent.append(self._index[len(parent) - 1][parent])
-            maps[k_link] = (to_parent, {p: j for j, p in enumerate(to_parent)})
+            index = self._index[k_link + len(f)]
+            maps[k_link] = [
+                index[tuple(sorted(f + tuple(ids[v] for v in lf)))]
+                for lf in link._faces[k_link]
+            ]
         return maps[k_link]
 
     def localize(self, sigma: Iterable[object], A: "Cochain") -> "Cochain":
@@ -295,7 +314,7 @@ class Complex:
         link = self.link(f)
         if not f:
             return A
-        to_parent, _ = self._link_map(f, k_link)
+        to_parent = self._link_map(f, k_link)
         bits = 0
         a = A.bits
         for j, p in enumerate(to_parent):
@@ -311,7 +330,7 @@ class Complex:
             self.check_bound(B)
             return B
         link.check_bound(B)
-        to_parent, _ = self._link_map(f, B.k)
+        to_parent = self._link_map(f, B.k)
         bits = 0
         for j in iter_bits(B.bits):
             bits |= 1 << to_parent[j]
@@ -337,9 +356,9 @@ class Complex:
         if k == self.d:
             return self
         if k not in self._skeletons:
-            self._skeletons[k] = Complex.build(
-                [self.tokens_of(f) for f in self._faces[k]]
-            )
+            # every vertex lies in a k-face and the k-faces are distinct, so
+            # this is Complex.build of their tokens
+            self._skeletons[k] = Complex(k, self.vertex_names, self._faces[k])
         return self._skeletons[k]
 
     def edges_between(self, a: Iterable[object], b: Iterable[object]) -> "Cochain":

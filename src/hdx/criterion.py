@@ -132,6 +132,25 @@ def _proper_links(X: Complex):
             yield sigma
 
 
+def link_expansions(X: Complex, cap: int | None = None):
+    """Yield (sigma, link, coboundary expansions at k = 0..link.d-1) for every
+    proper link, lazily and in canonical order."""
+    for sigma in _proper_links(X):
+        link = X.link(sigma)
+        yield sigma, link, [expansion(link, k, "coboundary", cap).value for k in range(link.d)]
+
+
+def least_link_expansion(X: Complex, rows) -> tuple[Fraction | None, dict | None]:
+    """beta*: the least finite value among `link_expansions` rows, and the
+    first (link, k) attaining it; (None, None) when no value is finite."""
+    best = witness = None
+    for sigma, _, values in rows:
+        for k, value in enumerate(values):
+            if value != math.inf and (best is None or value < best):
+                best, witness = value, {"link": list(X.tokens_of(sigma)), "k": k}
+    return best, witness
+
+
 def _small_cochain_scan(
     X: Complex, k: int, mu_bar: Fraction, eps_bar: Fraction, cap: int | None
 ) -> dict:
@@ -178,30 +197,22 @@ def criterion_report(X: Complex, cap: int | None = None) -> dict:
     Q = X.max_vertex_link_size()
 
     links = []
-    beta_star: Fraction | float | None = None
-    beta_witness = None
-    for sigma in _proper_links(X):
-        link = X.link(sigma)
-        entry = {
+    rows = []
+    alpha_values = []
+    for sigma, link, values in link_expansions(X, cap):
+        alpha = skeleton_alpha(link, "exhaustive", cap)
+        links.append({
             "face": list(X.tokens_of(sigma)),
             "dim": link.d,
-            "exp_b": [],
-        }
-        for k in range(0, link.d):
-            rep = expansion(link, k, "coboundary", cap)
-            entry["exp_b"].append({"k": k, "value": rat_json(rep.value)})
-            if rep.value != math.inf:
-                if beta_star is None or rep.value < beta_star:
-                    beta_star = rep.value
-                    beta_witness = {"link": list(X.tokens_of(sigma)), "k": k}
-        alpha = skeleton_alpha(link, "exhaustive", cap)
-        entry["alpha_star"] = rat_json(alpha.value)
-        links.append(entry)
-        entry["_alpha"] = alpha.value  # stripped below
+            "exp_b": [{"k": k, "value": rat_json(v)} for k, v in enumerate(values)],
+            "alpha_star": rat_json(alpha.value),
+        })
+        rows.append((sigma, link, values))
+        alpha_values.append(alpha.value)
+    beta_star, beta_witness = least_link_expansion(X, rows)
 
     alpha_x = skeleton_alpha(X, "exhaustive", cap)
-    alpha_values = [alpha_x.value] + [e.pop("_alpha") for e in links]
-    alpha_max: Fraction = max(alpha_values)
+    alpha_max: Fraction = max([alpha_x.value] + alpha_values)
 
     proper_exists = any(True for _ in _proper_links(X))
     consts = None

@@ -98,21 +98,12 @@ def _rref_subspaces(q: int, n: int, k: int) -> list[tuple[tuple[int, ...], ...]]
     return out
 
 
-def _reduces_to_zero(row: tuple[int, ...], rref: tuple[tuple[int, ...], ...], q: int) -> bool:
-    work = list(row)
-    for brow in rref:
-        pivot = next(c for c, x in enumerate(brow) if x)
-        coef = work[pivot]
-        if coef:
-            for c in range(len(work)):
-                work[c] = (work[c] - coef * brow[c]) % q
-    return not any(work)
-
-
-def _contained(
-    small: tuple[tuple[int, ...], ...], big: tuple[tuple[int, ...], ...], q: int
-) -> bool:
-    return all(_reduces_to_zero(row, big, q) for row in small)
+def _span(rows: tuple[tuple[int, ...], ...], q: int) -> set[tuple[int, ...]]:
+    """Every vector of the row space over F_q."""
+    return {
+        tuple(sum(c * x for c, x in zip(coefs, col)) % q for col in zip(*rows))
+        for coefs in product(range(q), repeat=len(rows))
+    }
 
 
 def _subspace_token(rows: tuple[tuple[int, ...], ...]) -> str:
@@ -132,10 +123,11 @@ def projective_flag(q: int, n: int, cap: int | None = None) -> Complex:
     check_enumeration(q**n, cap, "field vectors")
     by_dim = {k: _rref_subspaces(q, n, k) for k in range(1, n)}
     tokens = {k: [_subspace_token(w) for w in by_dim[k]] for k in by_dim}
+    spans = {k: [_span(w, q) for w in by_dim[k]] for k in range(2, n)}
     step_up: dict[int, list[list[int]]] = {}
     for k in range(1, n - 1):
         step_up[k] = [
-            [j for j, big in enumerate(by_dim[k + 1]) if _contained(small, big, q)]
+            [j for j, span in enumerate(spans[k + 1]) if all(row in span for row in small)]
             for small in by_dim[k]
         ]
 
@@ -195,10 +187,10 @@ def linial_meshulam(
     rng = SplitMix64(seed)
     kept = []
     total = 0
+    bound = p.numerator << 64  # draw / 2^64 < p, cleared of denominators
     for face in combinations(range(n), d + 1):
         total += 1
-        draw = rng.next_u64()
-        if Fraction(draw, 1 << 64) < p:
+        if rng.next_u64() * p.denominator < bound:
             kept.append(face)
     if not kept:
         raise EmptyInput(

@@ -81,7 +81,7 @@ def _first_improving_move(
             link = X.link(sigma)
             basis = space_basis(link, loc.k, "coboundaries")
             check_enumeration(
-                1 << basis.dim, cap, f"link coboundary space at {X.tokens_of(sigma)}"
+                1 << basis.dim, cap, lambda: f"link coboundary space at {X.tokens_of(sigma)}"
             )
             base = loc.top_sum()
             # a shift s lowers the norm only if w(s) < 2 w(loc & s) <= 2 w(loc)

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hdx.core import build_complex
+from hdx.core import Complex, build_complex
 from hdx.errors import (
     BadDimension,
     ComplexMismatch,
@@ -13,6 +16,7 @@ from hdx.errors import (
     NotPure,
     UnknownVertex,
 )
+from hdx.generators import complete, complete_partite, projective_flag
 from helpers import random_cochain, random_pure_complex
 
 
@@ -39,6 +43,32 @@ def test_build_absorbs_subset_faces():
     X = build_complex([("a", "b", "c"), ("a", "b")])
     assert X.d == 2
     assert X.n_top == 1
+
+
+def test_build_absorption_whatever_the_input_order():
+    # ("b", "c") is absorbed by a top face, ("c",) and ("a", "b") by several
+    faces = [("a", "b", "c"), ("a", "b"), ("c",), ("b", "c", "d"), ("b", "c"), ("a", "b", "c")]
+    expected = build_complex([("a", "b", "c"), ("b", "c", "d")])
+    for order in permutations(faces):
+        assert build_complex(order) == expected
+
+    rng = random.Random(7)
+    for _ in range(40):
+        X = random_pure_complex(rng, max_n=12)
+        tops = [X.tokens_of(f) for f in X.faces(X.d)]
+        subs = [f for top in tops for r in range(1, len(top)) for f in combinations(top, r)]
+        faces = tops + rng.sample(subs, min(len(subs), 30))
+        rng.shuffle(faces)
+        assert build_complex(faces) == X
+
+
+def test_build_mixed_dimensions_message():
+    # ("e",) lies only under ("e", "f"), a face smaller than the largest one
+    with pytest.raises(NotPure) as info:
+        build_complex([("a", "b", "c", "d"), ("e",), ("e", "f"), ("a", "b")])
+    assert str(info.value) == (
+        "maximal faces of mixed dimensions: ['e', 'f'] has 2 vertices, expected 4"
+    )
 
 
 def test_build_empty_input():
@@ -301,3 +331,37 @@ def test_total_face_count_and_q():
     assert X.total_face_count == 1 + 4 + 6 + 4
     # link of a vertex is a triangle graph: 1 + 3 + 3 faces
     assert X.max_vertex_link_size() == 7
+
+
+def _same_complex(A, B):
+    assert A.d == B.d and A.vertex_names == B.vertex_names
+    for k in range(-1, A.d + 1):
+        assert A.faces(k) == B.faces(k)
+        assert A.top_counts(k) == B.top_counts(k)
+        assert A.up_rows(k) == B.up_rows(k)
+        assert A.norm_den(k) == B.norm_den(k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    # max_n = 12 mixes the tokens "10", "11" into "0".."9": id order is string order
+    st.integers(0, 2**32 - 1).map(lambda seed: random_pure_complex(random.Random(seed), max_n=12))
+)
+@example(complete(6, 3))
+@example(projective_flag(2, 4))
+@example(complete_partite(2, 3))
+def test_links_and_skeletons_equal_their_token_builds(X):
+    for k in range(0, X.d):
+        for sigma in X.faces(k):
+            toks = X.tokens_of(sigma)
+            L = X.link(sigma)
+            _same_complex(L, Complex.build(
+                [tuple(t for t in X.tokens_of(top) if t not in toks)
+                 for top in X.faces(X.d) if set(sigma) <= set(top)]
+            ))
+            for j in range(-1, L.d + 1):
+                assert X._link_map(sigma, j) == [
+                    X.face_index(X.face_from_tokens(toks + L.tokens_of(lf))) for lf in L.faces(j)
+                ]
+    for k in range(0, X.d + 1):
+        _same_complex(X.skeleton(k), Complex.build([X.tokens_of(f) for f in X.faces(k)]))

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from hdx.core import build_complex
-from hdx.criterion import constants, criterion_report, log2_fraction
+from hdx.criterion import (
+    constants,
+    criterion_report,
+    least_link_expansion,
+    link_expansions,
+    log2_fraction,
+)
 from hdx.errors import BadParam
 from hdx.generators import complete, projective_flag
 from hdx.reportio import rat_from_json
@@ -69,6 +75,21 @@ def test_criterion_report_complete_5_2():
     assert [row["k"] for row in conclusions["cocycle_expansion"]] == [0]
     assert [row["k"] for row in conclusions["cosystoles"]] == [0, 1]
     assert [row["k"] for row in conclusions["isoperimetry"]] == [0, 1]
+
+
+def test_least_link_expansion_takes_the_first_least_link():
+    # every vertex link of complete(5, 2) is K4, so all five links tie
+    X = complete(5, 2)
+    rows = list(link_expansions(X))
+    assert [X.tokens_of(sigma) for sigma, _, _ in rows] == [(str(v),) for v in range(5)]
+    assert all(values == [Fraction(4, 3)] for _, _, values in rows)
+    first = (Fraction(4, 3), {"link": ["0"], "k": 0})
+    assert least_link_expansion(X, rows) == first
+    assert criterion_report(X)["beta_witness"] == first[1]
+    # a later link with a strictly smaller value wins; inf never counts
+    rows = [rows[0], (rows[1][0], None, [math.inf, Fraction(1, 2)]), rows[2]]
+    assert least_link_expansion(X, rows) == (Fraction(1, 2), {"link": ["1"], "k": 1})
+    assert least_link_expansion(X, [(rows[0][0], None, [math.inf])]) == (None, None)
 
 
 def test_criterion_report_no_proper_links():

@@ -112,6 +112,41 @@ def test_linial_meshulam_reproducible_digest():
     assert lm.kept == 19 and lm.candidates == 56 and len(lm.dropped) == 2
 
 
+def _faces_digest(X):
+    faces = [X.tokens_of(f) for k in range(-1, X.d + 1) for f in X.faces(k)]
+    return hashlib.sha256(repr((X.vertex_names, faces)).encode()).hexdigest()
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# Vertex names and every face, in canonical order, of complexes whose build
+# path has been optimized; recorded with the earlier quadratic build.
+@pytest.mark.parametrize("q,n,digest", [
+    (2, 4, "0f65f02c5a652cd71155cd4285d572ddb9369c2c018754cd2b65ec4926608478"),
+    (3, 3, "40c937a852fb4a2f5efc4d23a42ac665226c5cc567a7b1e669a87839728ec91d"),
+])
+def test_projective_flag_faces_pinned(q, n, digest):
+    assert _faces_digest(projective_flag(q, n)) == digest
+
+
+@pytest.mark.parametrize("n,d,p,seed,digest,dropped,counts", [
+    (24, 2, Fraction(1, 2), 7,
+     "4631a4c1451ef3f3aea0e4a30dbc7c9c7a36a31f7925a4d5a47f4b01cf084a80",
+     "172b102d732d4bb8e86cbb5f95a6779b1bfbbbebda6dd693ae78e1f63ed11cc5", (1058, 2024, 108)),
+    # a denominator that is not a power of two, and faces that really drop
+    (12, 2, Fraction(1, 30), 3,
+     "68cd310aaed1d8c035a5f22135f98b65de88ef11665f9107dae455dfbab72bf6",
+     "a08d2669adc583f10c559cc7ad1aaa11e4fda4f2dde2bcb93da9d66d2adae594", (8, 220, 53)),
+])
+def test_linial_meshulam_pinned(n, d, p, seed, digest, dropped, counts):
+    lm = linial_meshulam(n, d, p, seed)
+    assert _faces_digest(lm.complex) == digest
+    assert _sha(lm.dropped) == dropped
+    assert (lm.kept, lm.candidates, len(lm.dropped)) == counts
+
+
 def test_linial_meshulam_reports_dropped():
     # p small enough that some vertices/edges of the skeleton die
     lm = linial_meshulam(7, 2, Fraction(1, 10), 5)

@@ -4,7 +4,7 @@ import pytest
 
 from hdx.cohomology import coboundary
 from hdx.core import build_complex
-from hdx.errors import BadDimension
+from hdx.errors import BadDimension, TooLarge
 from hdx.generators import complete, cycle
 from hdx.minimize import is_locally_minimal, is_minimal, locally_minimize
 from helpers import (
@@ -32,6 +32,16 @@ def test_is_minimal_matches_oracle():
             continue
         A = random_cochain(rng, X, k)
         assert is_minimal(X, A) == oracle_is_minimal(X, A)
+
+
+def test_move_search_cap_message():
+    X = complete(5, 2)
+    with pytest.raises(TooLarge) as info:
+        locally_minimize(X, X.full_cochain(1), cap=1)
+    assert str(info.value) == (
+        "link coboundary space at ('0',) needs 2 elements, cap is 1 "
+        "(raise the cap explicitly if you really want this)"
+    )
 
 
 def test_locally_minimal_examples():
