@@ -108,7 +108,7 @@ class Complex:
         ]
         sizes = {len(s) for s in maximal}
         if len(sizes) != 1:
-            small = min(maximal, key=len)
+            small = min(maximal, key=lambda s: (len(s), sorted(s)))
             raise NotPure(
                 f"maximal faces of mixed dimensions: {sorted(small)} has "
                 f"{len(small)} vertices, expected {max(sizes)}"

@@ -205,7 +205,7 @@ def linial_meshulam(
     for k in range(0, d):
         for f in combinations(range(n), k + 1):
             toks = tuple(str(v) for v in f)
-            if toks not in surviving:
+            if tuple(sorted(toks)) not in surviving:  # tokens_of is in string order
                 dropped.append(toks)
     return LinialMeshulamResult(X, len(kept), total, tuple(dropped))
 

@@ -8,7 +8,11 @@ certified by the reconstruction residual, and the maximum over pairs
 certifies one-sided mixing for all vertex-set pairs, hence skeleton expansion.
 Both subset scans read one exact table of integer top counts per subset:
 skeleton-expansion constants are exact rationals, and a mixing margin rounds
-only in its eigenvalue term, so exact ties never fail.
+only in its eigenvalue term, so exact ties never fail. The exhaustive mixing
+scan is sign-first: the integer part E = N L - v_A v_B of every margin comes
+from one BLAS product, in float32 while all its partial sums stay below 2^24
+(so it is exact), and since lam >= 0 a pair with E <= 0 cannot fail. Only
+the pairs with E > 0, usually none, get a float64 margin.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import numpy as np
 
 from .caps import check_enumeration
 from .core import Complex, Face
-from .errors import BadDimension, NotBiregular, NotRegular, NoValidTyping
+from .errors import BadDimension, BadParam, NotBiregular, NotRegular, NoValidTyping
 from .f2 import iter_bits
 
 MIXING_SLACK = 1e-9
-MIXING_BLOCK = 1 << 16  # subset pairs per vectorized block, cache-sized
+MIXING_BLOCK = 1 << 17  # subset pairs per vectorized block, cache-sized
+FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller absolute value
 ALPHA_EXHAUSTIVE_CAP = 1 << 20  # vertex subsets
 
 
@@ -308,13 +313,24 @@ def _vertex_norm(X: Complex, ids: set[int]) -> Fraction:
     return Fraction(sum(tops[v] for v in ids), X.norm_den(0))
 
 
+def _mixing_lam(X: Complex, R: RegularStructure, lam: float | None) -> float:
+    """lam, or lambda_max when it is None. The mixing bound needs d >= 1 and
+    a finite lam >= 0, which makes its eigenvalue term >= 0."""
+    if lam is None:
+        lam, _ = lambda_max(X, R)  # raises BadDimension below d = 1
+    elif X.d < 1:
+        raise BadDimension("mixing needs dimension >= 1")
+    elif not (math.isfinite(lam) and lam >= 0):
+        raise BadParam(f"lam must be a finite number >= 0, got {lam}")
+    return lam
+
+
 def mixing_check(X: Complex, R: RegularStructure, a, b, lam: float | None = None) -> MixingReport:
     """One-sided mixing bound for a single pair of vertex sets."""
-    if lam is None:
-        lam, _ = lambda_max(X, R)
+    lam = _mixing_lam(X, R, lam)
     sa = X.vertex_ids(a)
     sb = X.vertex_ids(b)
-    lhs = X.edges_between(sa, sb).norm() if X.d >= 1 else Fraction(0)
+    lhs = X.edges_between(sa, sb).norm()
     na = _vertex_norm(X, sa)
     nb = _vertex_norm(X, sb)
     prod = float(na) * float(nb)
@@ -340,43 +356,70 @@ def mixing_check_all(
 ) -> MixingScan:
     """Exhaustive mixing check over every pair of vertex subsets.
 
-    Vectorized over blocks of pairs; agreement with mixing_check on
-    individual pairs is exercised in the test suite.
+    Pairs are decided first by the sign of the exact integer
+    E = N L - v_A v_B (see _mixing_margin). For a block of subsets A, E comes
+    from one BLAS product [N rows | -v_A] @ [bits^T ; v_B], which counts an
+    edge inside A & B twice, less the gathered N inner[A & B].
+
+    - Exactness: every term and partial sum is an integer of absolute value at
+      most 2 N inner[all] + v_top[all]^2, and the subtraction adds at most
+      N inner[all]. While 3 N inner[all] + v_top[all]^2 < 2^24 float32 holds
+      all of them exactly; otherwise the same product runs in float64.
+    - Sign first: with lam >= 0 the eigenvalue term is >= 0, and subtracting it
+      from an exact E <= 0 rounds to a value <= 0.0, so such a pair passes. Ties
+      (E = 0) stay passes, as in mixing_check.
+    - Only pairs with E > 0, usually none, get a float64 margin, from
+      _mixing_margin on the same integers as mixing_check: their margins and
+      verdicts are bit-identical to a per-pair check. max_margin is the largest
+      of those and 0.0, the exact margin of the pair (empty, empty).
     """
-    if lam is None:
-        lam, _ = lambda_max(X, R)
+    lam = _mixing_lam(X, R, lam)
     n = len(X.vertex_names)
     check_enumeration(4**n, cap, "vertex subset pairs")
     size = 1 << n
+    N = X.n_top
     vtop, inner = _subset_tops(X)
-    masks = np.arange(size, dtype=np.int64)
+    exact32 = 3 * N * int(inner[-1]) + int(vtop[-1]) ** 2 < FLOAT32_EXACT
+    dtype = np.float32 if exact32 else np.float64
     one = 1 << np.arange(n, dtype=np.int64)
-    bits = ((masks[:, None] & one) != 0).astype(float)
+    bits = ((np.arange(size)[:, None] & one) != 0).astype(dtype)
     # inner[{u, v}] is the top count of edge uv, so rows[m, v] sums the counts
-    # of the edges from subset m to v; BLAS sums of integers are exact
-    rows = bits @ inner[one[:, None] | one].astype(float)
+    # of the edges from subset m to v
+    rows = bits @ inner[one[:, None] | one].astype(dtype)
+    left = np.hstack([N * rows, -vtop[:, None].astype(dtype)])
+    right = np.vstack([bits.T, vtop.astype(dtype)])
+    # a block pairs every B with the 2^k subsets A that share their bits from
+    # k up, A_hi. With table[a, h, b] = N inner[h << k | (a & b)] for a, b < 2^k,
+    # the block's N inner[A & B] is table[:, A_hi & B_hi, :], a gather of rows
+    k = min(n, max(0, (MIXING_BLOCK >> n).bit_length() - 1))
+    low = np.arange(1 << k)
+    high = np.arange(size >> k)
+    table = (N * inner).astype(dtype).reshape(size >> k, 1 << k)[:, low[:, None] & low]
+    table = np.ascontiguousarray(table.transpose(1, 0, 2))
 
-    passed = marginal = failed = 0
-    max_margin = -math.inf
+    marginal = failed = 0
+    max_margin = 0.0  # the pair (empty, empty) has margin exactly 0.0
     failures: list[tuple[int, int]] = []
-    step = max(1, MIXING_BLOCK >> n)
-    for start in range(0, size, step):
-        sel = masks[start : start + step]
+    for start in range(0, size, 1 << k):
         # ordered pairs (u in A, v in B) count an edge inside A & B twice
-        edge_tops = rows[sel] @ bits.T
-        edge_tops -= inner[sel[:, None] & masks]
-        margin = _mixing_margin(X, edge_tops, vtop[sel, None], vtop, lam)
+        excess = left[start : start + (1 << k)] @ right
+        excess -= np.take(table, (start >> k) & high, axis=1).reshape(excess.shape)
+        if excess.max() <= 0:
+            continue
+        hot = np.flatnonzero(excess > 0)  # row-major, far faster than 2-D nonzero
+        a, c = (hot >> n) + start, hot & (size - 1)
+        va, vb = vtop[a], vtop[c]
+        edge_tops = (excess.ravel()[hot].astype(np.int64) + va * vb) // N  # L, exactly
+        margin = _mixing_margin(X, edge_tops.astype(float), va, vb, lam)
         max_margin = max(max_margin, float(margin.max()))
-        above = int(np.count_nonzero(margin > 0.0))
         bad = margin > MIXING_SLACK
         n_bad = int(np.count_nonzero(bad))
-        passed += margin.size - above
-        marginal += above - n_bad
+        marginal += int(np.count_nonzero(margin > 0.0)) - n_bad
         failed += n_bad
-        if n_bad and len(failures) < 8:
-            for r, c in np.argwhere(bad)[: 8 - len(failures)]:
-                failures.append((int(sel[r]), int(c)))
-    return MixingScan(size * size, passed, marginal, failed, max_margin, tuple(failures))
+        for i in np.flatnonzero(bad)[: 8 - len(failures)]:
+            failures.append((int(a[i]), int(c[i])))
+    pairs = size * size
+    return MixingScan(pairs, pairs - marginal - failed, marginal, failed, max_margin, tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,18 @@ the library paths they check.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from hdx.caps import check_enumeration
 from hdx.cohomology import space_basis
 from hdx.core import Cochain, Complex, build_complex
 from hdx.f2 import iter_bits
+from hdx.spectral import MIXING_SLACK, MixingScan, _mixing_margin, _subset_tops
 
 # -- random instances --------------------------------------------------------
 
@@ -261,6 +265,40 @@ def oracle_skeleton_alpha(X: Complex):
         if best is None or val > best[0]:
             best = (val, a)
     return max(best[0], Fraction(0)), best[0], best[1]
+
+
+def oracle_mixing_scan(X: Complex, lam: float) -> MixingScan:
+    """mixing_check_all as a float64 scan: every pair's margin from
+    _mixing_margin, blocks of 2^16 pairs, the maximum over all margins."""
+    n = len(X.vertex_names)
+    size = 1 << n
+    vtop, inner = _subset_tops(X)
+    masks = np.arange(size, dtype=np.int64)
+    one = 1 << np.arange(n, dtype=np.int64)
+    bits = ((masks[:, None] & one) != 0).astype(float)
+    rows = bits @ inner[one[:, None] | one].astype(float)
+
+    passed = marginal = failed = 0
+    max_margin = -math.inf
+    failures: list[tuple[int, int]] = []
+    step = max(1, (1 << 16) >> n)
+    for start in range(0, size, step):
+        sel = masks[start : start + step]
+        # ordered pairs (u in A, v in B) count an edge inside A & B twice
+        edge_tops = rows[sel] @ bits.T
+        edge_tops -= inner[sel[:, None] & masks]
+        margin = _mixing_margin(X, edge_tops, vtop[sel, None], vtop, lam)
+        max_margin = max(max_margin, float(margin.max()))
+        above = int(np.count_nonzero(margin > 0.0))
+        bad = margin > MIXING_SLACK
+        n_bad = int(np.count_nonzero(bad))
+        passed += margin.size - above
+        marginal += above - n_bad
+        failed += n_bad
+        if n_bad and len(failures) < 8:
+            for r, c in np.argwhere(bad)[: 8 - len(failures)]:
+                failures.append((int(sel[r]), int(c)))
+    return MixingScan(size * size, passed, marginal, failed, max_margin, tuple(failures))
 
 
 # -- fat-machinery oracles ----------------------------------------------------------

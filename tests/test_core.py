@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -69,6 +72,30 @@ def test_build_mixed_dimensions_message():
     assert str(info.value) == (
         "maximal faces of mixed dimensions: ['e', 'f'] has 2 vertices, expected 4"
     )
+
+
+def test_build_mixed_dimensions_message_is_reproducible():
+    # ("d", "e") and ("f", "g") tie for the least face; the message names the
+    # one with the least sorted tokens, whatever the string hash seed
+    script = (
+        "from hdx.core import build_complex\n"
+        "from hdx.errors import NotPure\n"
+        "try:\n"
+        "    build_complex([('a', 'b', 'c'), ('d', 'e'), ('f', 'g')])\n"
+        "except NotPure as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    messages = set()
+    for seed in range(1, 6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.add(out.stdout.strip())
+    assert messages == {
+        "maximal faces of mixed dimensions: ['d', 'e'] has 2 vertices, expected 3"
+    }
 
 
 def test_build_empty_input():

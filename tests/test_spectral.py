@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hdx.spectral
 from hdx.core import build_complex
-from hdx.errors import NotBiregular, NotRegular, NoValidTyping, TooLarge
+from hdx.errors import BadDimension, BadParam, NotBiregular, NotRegular, NoValidTyping, TooLarge
 from hdx.generators import (
     complete,
     complete_partite,
@@ -25,7 +26,7 @@ from hdx.spectral import (
     skeleton_alpha,
     type_graph,
 )
-from helpers import oracle_skeleton_alpha, random_pure_complex
+from helpers import oracle_mixing_scan, oracle_skeleton_alpha, random_pure_complex
 
 
 def kab(a, b):
@@ -206,6 +207,118 @@ def test_mixing_exact_ties_are_not_marginal():
     for X, lam in ((kab(3, 6), 0.0), (complete_partite(2, 4), 0.0), (kab(3, 6), None)):
         scan = mixing_check_all(X, regularity(X), lam=lam)
         assert (scan.marginal, scan.failed, scan.max_margin) == (0, 0, 0.0)
+
+
+def disjoint_edges(k):
+    return build_complex([(f"a{i}", f"b{i}") for i in range(k)])
+
+
+def scan_fields(scan):
+    return (
+        scan.pairs, scan.passed, scan.marginal, scan.failed,
+        float.hex(scan.max_margin), scan.failures,
+    )
+
+
+def assert_scan_matches_oracle(X, lam):
+    # with lam given the scan reads no regular structure, so X need not be regular
+    scan = mixing_check_all(X, None, lam=lam)
+    assert scan_fields(scan) == scan_fields(oracle_mixing_scan(X, lam))
+    return scan
+
+
+MIXING_FAMILIES = st.one_of(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda ab: kab(*ab)),
+    st.integers(2, 5).map(lambda k: cycle(2 * k)),
+    st.sampled_from([(1, 2), (1, 4), (1, 5), (2, 2), (2, 3), (3, 2), (4, 2)]).map(
+        lambda dm: complete_partite(*dm)
+    ),
+    st.integers(1, 5).map(disjoint_edges),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(MIXING_FAMILIES, st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1.0)))
+@example(complete_partite(2, 4), None)
+@example(complete_partite(2, 4), 0.0)
+@example(cycle(12), 0.25)
+def test_mixing_scan_matches_oracle(X, lam):
+    # the oracle scores every pair in float64; the scan decides most pairs by
+    # the sign of an exact integer and scores only the rest
+    if lam is None:
+        lam, _ = lambda_max(X, regularity(X))
+    assert_scan_matches_oracle(X, lam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: random_pure_complex(random.Random(seed), dims=(1, 2, 3), max_n=9)
+    ),
+    st.floats(0.0, 1.0),
+)
+def test_mixing_scan_matches_oracle_off_regular(X, lam):
+    assert_scan_matches_oracle(X, lam)
+
+
+def test_mixing_scan_marginal_branch():
+    # the least lam at which every pair of cycle(6) passes, lowered so that
+    # the tightest pair's margin is about 5e-10: marginal, not failed
+    X = cycle(6)
+    d, N, n = X.d, X.n_top, len(X.vertex_names)
+    den0 = X.norm_den(0)
+    best = None
+    for am in range(1, 1 << n):
+        a = [X.vertex_names[i] for i in range(n) if (am >> i) & 1]
+        va = int(sum(X.weight((v,)) for v in a) * den0)
+        for bm in range(1, 1 << n):
+            b = [X.vertex_names[i] for i in range(n) if (bm >> i) & 1]
+            vb = int(sum(X.weight((v,)) for v in b) * den0)
+            edge_tops = int(X.edges_between(a, b).norm() * X.norm_den(1))
+            ratio = (N * edge_tops - va * vb) / ((d + 1) * N * math.sqrt(va * vb))
+            if best is None or ratio > best[0]:
+                best = (ratio, va * vb)
+    lam_star, vv = best
+    scale = 2.0 / (d * N)  # margin per unit of lam below lam_star, over sqrt(v_A v_B)
+    lam = lam_star - 5e-10 / (scale * math.sqrt(vv))
+    scan = assert_scan_matches_oracle(X, lam)
+    assert scan.marginal > 0 and scan.failed == 0
+    assert 0.0 < scan.max_margin <= hdx.spectral.MIXING_SLACK
+
+
+def test_mixing_scan_many_failures():
+    for X in (cycle(6), cycle(8), disjoint_edges(3)):
+        scan = assert_scan_matches_oracle(X, 0.0)
+        assert scan.failed > 8 and len(scan.failures) == 8
+
+
+def test_mixing_scan_float64_path(monkeypatch):
+    # no complex within the default cap reaches the float32 bound, so lower it
+    monkeypatch.setattr(hdx.spectral, "FLOAT32_EXACT", 0)
+    for X, lam in ((cycle(6), 0.0), (complete_partite(2, 3), None), (kab(3, 4), 0.1)):
+        if lam is None:
+            lam, _ = lambda_max(X, regularity(X))
+        assert_scan_matches_oracle(X, lam)
+
+
+@pytest.mark.parametrize("lam", [-1e-12, -1.0, math.nan, math.inf, -math.inf])
+def test_mixing_rejects_bad_lam(lam):
+    X = kab(2, 2)
+    R = regularity(X)
+    with pytest.raises(BadParam):
+        mixing_check_all(X, R, lam=lam)
+    with pytest.raises(BadParam):
+        mixing_check(X, R, ["l0"], ["r0"], lam=lam)
+
+
+def test_mixing_needs_dimension_one():
+    X = build_complex([("a",), ("b",)])
+    R = regularity(X)
+    for lam in (None, 0.5):
+        with pytest.raises(BadDimension):
+            mixing_check_all(X, R, lam=lam)
+        with pytest.raises(BadDimension):
+            mixing_check(X, R, ["a"], ["b"], lam=lam)
 
 
 def test_skeleton_alpha_examples():
