@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 errors (including usage), 2 hypothesis-failure
 verdicts. Every report carries a reproducibility header with the package
-version, a hash of the input, and the full semantic options; the worker
-count is deliberately not part of the header, since results do not depend
-on it.
+version, a hash of the input, and the full semantic options. Every verb
+takes the same output and cap options; `generate` requires its `--out`.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 from fractions import Fraction
 
@@ -322,19 +320,19 @@ def _run_criterion(args):
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, input_path=True):
+def _add_common(sub, input_path=True) -> argparse.Action:
+    """Add the options every verb takes; returns the `--out` action."""
     if input_path:
         sub.add_argument("input", help="path to a .cx complex file")
-    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
+    out = sub.add_argument("--out", default=None,
+                           help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "tsv"), default="json")
     sub.add_argument("--cap", type=int, default=None,
                      help=f"enumeration cap (default {DEFAULT_CAP})")
     sub.add_argument("--i-know-this-is-exponential", action="store_true",
                      dest="ack_exponential",
                      help="required to raise --cap beyond the default")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker count (default: HDX_THREADS, else 1); "
-                          "results are independent of it")
+    return out
 
 
 @functools.cache
@@ -351,13 +349,9 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int)
     p.add_argument("--p", type=_rational)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True, dest="out")
     p.add_argument("--types-out", default=None)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--i-know-this-is-exponential", action="store_true",
-                   dest="ack_exponential")
-    p.add_argument("--threads", type=int, default=None)
+    out = _add_common(p, input_path=False)
+    out.required, out.help = True, "write the .cx file here"
     p.set_defaults(func=_run_generate, writes_file=True)
 
     p = subs.add_parser("info", help="dimensions, counts, and exact weight sums")
@@ -430,7 +424,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-_EXCLUDED_OPTIONS = {"func", "verb", "out", "format", "threads", "writes_file", "input"}
+_EXCLUDED_OPTIONS = {"func", "verb", "out", "format", "writes_file", "input"}
 
 
 def main(argv=None) -> int:
@@ -438,13 +432,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cap is not None and args.cap > DEFAULT_CAP and not args.ack_exponential:
         parser.error("raising --cap beyond the default needs --i-know-this-is-exponential")
-    if args.threads is None:
-        env = os.environ.get("HDX_THREADS", "1")
-        try:
-            args.threads = int(env)
-        except ValueError:
-            sys.stderr.write(f"hdx: error: HDX_THREADS is not an integer: {env!r}\n")
-            return 1
     options = {
         key: (str(value) if isinstance(value, Fraction) else value)
         for key, value in sorted(vars(args).items())

@@ -26,8 +26,6 @@ from .minimize import is_locally_minimal
 from .reportio import rat_json
 from .spectral import skeleton_alpha
 
-ALPHA_SLACK = 1e-12
-
 
 def _log2_int(n: int) -> float:
     bl = n.bit_length()
@@ -84,12 +82,19 @@ class ConstantsReport:
         }
 
 
+def _mu_root(d: int, c0: Fraction) -> Fraction:
+    """c0^d / (3 (d+2) 2^(d+3)), whose 2^(d+1)-th power is mu."""
+    return c0**d / (3 * (d + 2) * 2 ** (d + 3))
+
+
 def constants(d: int, beta: Fraction, Q: int, q: int | None = None) -> ConstantsReport:
     """Evaluate every constant formula, exactly where the value is rational.
 
     mu and mu_bar share one expression; eps = min(1/Q, mu). The required
-    skeleton constant alpha = mu^(1 + 1/2^(d+1)) has an irrational exponent
-    and is kept symbolically alongside a float evaluation. The flag-complex
+    skeleton constant alpha = mu^(1 + 1/2^(d+1)) is rational, since mu is
+    the 2^(d+1)-th power of `_mu_root`, so alpha = mu * _mu_root. Its
+    numerator and denominator run to thousands of bits, so the report keeps
+    it symbolically alongside float and log2 evaluations. The flag-complex
     size bound is reported in log2 only; it overflows any fixed-width
     integer already for small d.
     """
@@ -104,7 +109,7 @@ def constants(d: int, beta: Fraction, Q: int, q: int | None = None) -> Constants
         raise BadParam(f"thickness must be >= 2, got {q}")
 
     c0 = beta / ((d + 2) * 2 ** (d + 2))
-    mu_bar = (Fraction(1, 3 * (d + 2) * 2 ** (d + 3)) * c0**d) ** (2 ** (d + 1))
+    mu_bar = _mu_root(d, c0) ** (2 ** (d + 1))
     eps_bar = Fraction(1, 3) * c0**d
     mu = mu_bar
     eps = min(Fraction(1, Q), mu)
@@ -214,11 +219,10 @@ def criterion_report(X: Complex, cap: int | None = None) -> dict:
     alpha_x = skeleton_alpha(X, "exhaustive", cap)
     alpha_max: Fraction = max([alpha_x.value] + alpha_values)
 
-    proper_exists = any(True for _ in _proper_links(X))
+    proper_exists = bool(links)
     consts = None
     verdict = "unmet"
     note = ""
-    marginal = False
     alpha_required = None
     alpha_required_log2 = None
     if not proper_exists:
@@ -237,17 +241,11 @@ def criterion_report(X: Complex, cap: int | None = None) -> dict:
         consts = constants(d, beta_star, Q)
         alpha_required = consts.alpha_float
         alpha_required_log2 = consts.alpha_log2
-        measured = float(alpha_max)
-        if measured <= alpha_required:
+        if alpha_max <= consts.mu * _mu_root(d, consts.c0):
             verdict = "met"
-        elif measured <= alpha_required + ALPHA_SLACK:
-            verdict = "marginal"
-            marginal = True
-            note = "measured skeleton constant within float slack of the requirement"
         else:
-            verdict = "unmet"
             note = (
-                f"measured skeleton constant {measured:.6g} exceeds the required "
+                f"measured skeleton constant {float(alpha_max):.6g} exceeds the required "
                 f"alpha (log2 = {alpha_required_log2:.6g})"
             )
 
@@ -314,7 +312,7 @@ def criterion_report(X: Complex, cap: int | None = None) -> dict:
             "alpha_required": alpha_required,
             "alpha_required_log2": alpha_required_log2,
             "alpha_measured": float(alpha_max),
-            "marginal": marginal,
+            "marginal": False,  # the verdict is exact
             "verdict": verdict,
             "note": note or ("all hypotheses verified" if verdict == "met" else
                              "hypotheses unmet; the theorem is silent here"),

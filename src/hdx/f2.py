@@ -71,13 +71,7 @@ class F2Space:
 
     def reduce(self, vec: int) -> int:
         """Canonical representative of vec modulo the span."""
-        # lowest_bit is inlined here and below: cosystole calls this per element
-        mask, rows = self._mask, self._pivot_rows
-        hit = vec & mask
-        while hit:
-            vec ^= rows[(hit & -hit).bit_length() - 1]
-            hit = vec & mask
-        return vec
+        return self.reduce_tagged(vec)[0]
 
     def reduce_tagged(self, vec: int, tag: int = 0) -> tuple[int, int]:
         mask, rows, tags = self._mask, self._pivot_rows, self._pivot_tags

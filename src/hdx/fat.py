@@ -176,20 +176,19 @@ def verify_seep(
     eta: Fraction,
     beta: Fraction,
     profile: FatProfile | None = None,
-    check_precondition: bool = True,
     cap: int | None = None,
 ) -> SeepReport:
     """Check, per level i, beta/C(k+2,i+1) * ||L(A,i)|| against
     ||dA|| + (k+2)*||L(A,i-1)|| + ||degenerate||, with exact values.
 
-    A must be locally minimal and beta a lower bound for the coboundary
-    expansion of every proper link (the caller supplies it, typically the
-    exact measured minimum).
+    A must be locally minimal, which is checked first, and beta a lower bound
+    for the coboundary expansion of every proper link (the caller supplies
+    it, typically the exact measured minimum).
     """
     beta = Fraction(beta)
     if beta <= 0:
         raise BadParam(f"beta must be positive, got {beta}")
-    if check_precondition and not is_locally_minimal(X, A, cap):
+    if not is_locally_minimal(X, A, cap):
         raise PreconditionUnverified("cochain is not locally minimal")
     if profile is None:
         profile = fat_profile(X, A, eta)
@@ -226,7 +225,6 @@ def verify_upsilon_bound(
     A: Cochain,
     eta: Fraction,
     alpha_star: Fraction,
-    profile: FatProfile | None = None,
 ) -> DegenerateBoundReport:
     """Check ||degenerate|| <= (k+2) * 2^(k+4) * eta * ||A||.
 
@@ -241,9 +239,7 @@ def verify_upsilon_bound(
     required = eta ** (2 ** (k + 1))
     if alpha_star > required:
         return DegenerateBoundReport(k, eta, alpha_star, required, False, None, None)
-    if profile is None:
-        profile = fat_profile(X, A, eta)
-    lhs = profile.degenerate.norm()
+    lhs = fat_profile(X, A, eta).degenerate.norm()
     rhs = (k + 2) * 2 ** (k + 4) * eta * A.norm()
     return DegenerateBoundReport(k, eta, alpha_star, required, True, lhs, rhs)
 

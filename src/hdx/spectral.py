@@ -435,7 +435,6 @@ def skeleton_alpha(
     X: Complex,
     mode: str = "exhaustive",
     cap: int | None = None,
-    R: RegularStructure | None = None,
 ) -> AlphaReport:
     """Least valid skeleton-expansion constant.
 
@@ -445,9 +444,7 @@ def skeleton_alpha(
     non-trivial eigenvalue as a certified constant for regular complexes.
     """
     if mode == "spectral":
-        if R is None:
-            R = regularity(X)
-        lam, reports = lambda_max(X, R)
+        lam, reports = lambda_max(X, regularity(X))
         return AlphaReport("spectral", lam, None, None, reports)
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")

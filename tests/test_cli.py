@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -147,11 +148,6 @@ def test_byte_identical_reruns(tmp_path, capsys):
         outs.append(out)
     assert outs[0] == outs[1]
 
-    # worker count must not influence output
-    _, a = run_cli(capsys, "criterion", "--threads", "1", cx)
-    _, b = run_cli(capsys, "criterion", "--threads", "4", cx)
-    assert a == b
-
 
 def test_non_regular_input_reports_with_exit_two(tmp_path, capsys):
     cx = os.path.join(tmp_path, "k4.cx")
@@ -242,15 +238,105 @@ def test_lm_generate_reports_dropped(tmp_path, capsys):
 
 
 def test_bad_hdx_threads_is_one_line(tmp_path, capsys, monkeypatch):
+    # hdx is single-process: --threads is a usage error and HDX_THREADS is not read
     cx = os.path.join(tmp_path, "c.cx")
-    monkeypatch.setenv("HDX_THREADS", "abc")
-    code = main(["generate", "--kind", "cycle", "--n", "4", "--out", cx])
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--kind", "cycle", "--n", "4", "--out", cx, "--threads", "2"])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == "" and not os.path.exists(cx)
-    assert captured.err == "hdx: error: HDX_THREADS is not an integer: 'abc'\n"
-    # an explicit --threads never reads the variable; the report ignores the count
-    code, out = run_cli(capsys, "generate", "--kind", "cycle", "--n", "4", "--out", cx,
-                        "--threads", "3")
-    assert code == 0
-    monkeypatch.setenv("HDX_THREADS", "2")
-    assert run_cli(capsys, "info", cx) == run_cli(capsys, "info", cx, "--threads", "5")
+    assert info.value.code == 1 and captured.out == "" and not os.path.exists(cx)
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert errors == ["hdx: error: unrecognized arguments: --threads 2"]
+    assert captured.err.endswith(errors[0] + "\n")
+
+    assert run_cli(capsys, "generate", "--kind", "cycle", "--n", "4", "--out", cx)[0] == 0
+    plain = run_cli(capsys, "info", cx)
+    monkeypatch.setenv("HDX_THREADS", "abc")
+    assert run_cli(capsys, "info", cx) == plain
+    assert capsys.readouterr().err == ""
+
+
+def test_generate_requires_out(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--kind", "cycle", "--n", "4"])
+    captured = capsys.readouterr()
+    assert info.value.code == 1 and captured.out == ""
+    assert captured.err.endswith(
+        "hdx generate: error: the following arguments are required: --out\n"
+    )
+
+
+def _pinned_digest(report: str, workdir: str) -> str:
+    """SHA-256 of a report without its input path and with workdir cut from
+    option paths, floats rounded to 9 places."""
+
+    def canonical(obj):
+        if isinstance(obj, dict):
+            return {k: canonical(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [canonical(v) for v in obj]
+        if isinstance(obj, float):
+            return round(obj, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
+        return obj
+
+    doc = json.loads(report.replace(workdir, ""))
+    doc["input"].pop("path", None)
+    text = json.dumps(canonical(doc), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded before the minimality search and the CLI options were consolidated
+_PINNED = {
+    'info': (0, '07d928ac1cf92a9a977ce401ec4d86befe0a44d7df23a55affa76b52700d26f5'),
+    'expansion-cob': (0, '161784c91268d1d30b3b39c38da95b9af18bd87b55a76ec857933f598a388028'),
+    'expansion-coc': (0, '1707e34c13ce2b4b689dcd073cea5f0dcc0be10840b9d92eead0cfebaf9ebe80'),
+    'cosystole': (0, '8507ca6718a36cd89041fb47d025b879432814ca40c6db7af7d11b9933f5659e'),
+    'minimize': (0, 'c01f0f0a0624032158db60127831f69144cb8f0ef39feefa21ab81fbc6753040'),
+    'fat-profile': (0, 'd73670e94db2f488b95a2e96aa308401c49311cd5073d03f2cabb991f77ede9b'),
+    'seep-check': (0, '9d3b4c466760c2bdefc355be3d15578fe5f1025a10b7a278c8616fe8f294d898'),
+    'spectrum': (0, 'f9ff95215d1aaf0e5280b21537762e7e23e25480e1c2b6532b68a5032dc7fa8d'),
+    'mixing-check': (0, '9cb7f556e4d65d17318dc39a92e38287865572451809bf2e4bfbcf0bd6919dc8'),
+    'skeleton-alpha': (0, '16a8273d48fd4f7d4ccbbab23feafdb0112707700715a46463a886e56db310dd'),
+    'constants': (0, '1bf42700d7df251140d02fd160ecb2dc70c8d8aeec6f9d0fb09ea9ff571c63f5'),
+    'criterion-k52': (0, 'e8faaff772528f8e28f866b0f024c7f6bc5ae3e89e62b5a9730331542dfe0e5d'),
+    'criterion-pg': (2, 'ff19953423a890a096a739cabfdd34405719836f606b37f2ef01e54df210fbb9'),
+    'minimize-pf34': (0, '655d2cd139066464d0c6d69e5350a53aae199dccde78001222b531c38efe6ffd'),
+    'seep-check-pf24': (0, 'cd6eb53ef0ed74dd0b83f0d666cca7fe23a7ee577248df24a3ed4869cbbedd55'),
+}
+
+
+def test_cli_results_pinned(tmp_path, capsys):
+    # the acceptance-8 invocations, plus a 30-move minimization on
+    # projective_flag(3,4) and a seep-check with measured beta on projective_flag(2,4)
+    cx, pg, ty, kp = (str(tmp_path / name) for name in ("k52.cx", "pg.cx", "pg.types", "kp.cx"))
+    pf34, pf24 = str(tmp_path / "pf34.cx"), str(tmp_path / "pf24.cx")
+    for argv in (
+        ["--kind", "complete", "--n", "5", "--d", "2", "--out", cx],
+        ["--kind", "projective_flag", "--q", "2", "--n", "3", "--out", pg, "--types-out", ty],
+        ["--kind", "complete_partite", "--d", "1", "--m", "2", "--out", kp],
+        ["--kind", "projective_flag", "--q", "3", "--n", "4", "--out", pf34],
+        ["--kind", "projective_flag", "--q", "2", "--n", "4", "--out", pf24],
+    ):
+        assert run_cli(capsys, "generate", *argv)[0] == 0
+    invocations = {
+        "info": ["info", cx],
+        "expansion-cob": ["expansion", "--k", "1", "--mode", "coboundary", cx],
+        "expansion-coc": ["expansion", "--k", "0", "--mode", "cocycle", cx],
+        "cosystole": ["cosystole", "--k", "1", cx],
+        "minimize": ["minimize", "--k", "1", "--cochain", "0,1,2,5", cx],
+        "fat-profile": ["fat-profile", "--k", "1", "--eta", "1/3", "--cochain", "0,2,4", cx],
+        "seep-check": ["seep-check", "--k", "1", "--eta", "1/3", "--cochain", "0", cx],
+        "spectrum": ["spectrum", pg, "--types", ty],
+        "mixing-check": ["mixing-check", "--a", "0:0,0:1", "--b", "1:0,1:1", kp],
+        "skeleton-alpha": ["skeleton-alpha", cx],
+        "constants": ["constants", "--d", "3", "--beta", "4/3", "--Q", "121", "--q", "9"],
+        "criterion-k52": ["criterion", cx],
+        "criterion-pg": ["criterion", pg],
+        "minimize-pf34": ["minimize", "--k", "1", "--cochain",
+                          ",".join(map(str, range(400))), pf34],
+        "seep-check-pf24": ["seep-check", "--k", "1", "--eta", "1/3", "--cochain", "0", pf24],
+    }
+    got = {}
+    for name, argv in invocations.items():
+        code, out = run_cli(capsys, *argv)
+        got[name] = (code, _pinned_digest(out, str(tmp_path)))
+    assert got == _PINNED

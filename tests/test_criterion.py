@@ -15,6 +15,7 @@ from hdx.criterion import (
 from hdx.errors import BadParam
 from hdx.generators import complete, projective_flag
 from hdx.reportio import rat_from_json
+from hdx.spectral import AlphaReport
 
 
 def test_constants_worked_values():
@@ -131,3 +132,23 @@ def test_criterion_eps_le_mu_le_one_on_corpus():
         eps = rat_from_json(rep["constants"]["eps"])
         mu = rat_from_json(rep["constants"]["mu"])
         assert 0 < eps <= mu <= 1
+
+
+def test_alpha_verdict_is_exact(monkeypatch):
+    # complete(5, 2): d = 2, beta* = 4/3, Q = 11; the required alpha is
+    # mu^(9/8) ~ 2^-178, rational because mu is an 8th power
+    X = complete(5, 2)
+    c = constants(2, Fraction(4, 3), 11)
+    required = c.mu * (c.c0**2 / (3 * 4 * 2**5))
+    assert required**8 == c.mu**9
+    for alpha, verdict in (
+        (required, "met"),
+        (required + Fraction(1, 2**300), "unmet"),
+        (Fraction(1, 10**13), "unmet"),  # a float slack of 1e-12 called this marginal
+    ):
+        monkeypatch.setattr(
+            "hdx.criterion.skeleton_alpha",
+            lambda Y, mode, cap, alpha=alpha: AlphaReport(mode, alpha, alpha, None),
+        )
+        hyp = criterion_report(X)["hypotheses"]
+        assert (hyp["verdict"], hyp["marginal"]) == (verdict, False)

@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdx.cohomology import coboundary
 from hdx.core import build_complex
 from hdx.errors import BadDimension, TooLarge
-from hdx.generators import complete, cycle
+from hdx.generators import complete, cycle, projective_flag
 from hdx.minimize import is_locally_minimal, is_minimal, locally_minimize
 from helpers import (
     oracle_first_improving_move,
+    oracle_is_locally_minimal,
     oracle_is_minimal,
     oracle_minimal_representative,
     random_cochain,
@@ -36,12 +39,32 @@ def test_is_minimal_matches_oracle():
 
 def test_move_search_cap_message():
     X = complete(5, 2)
-    with pytest.raises(TooLarge) as info:
-        locally_minimize(X, X.full_cochain(1), cap=1)
-    assert str(info.value) == (
-        "link coboundary space at ('0',) needs 2 elements, cap is 1 "
-        "(raise the cap explicitly if you really want this)"
-    )
+    for search in (locally_minimize, is_locally_minimal):
+        with pytest.raises(TooLarge) as info:
+            search(X, X.full_cochain(1), cap=1)
+        assert str(info.value) == (
+            "link coboundary space at ('0',) needs 2 elements, cap is 1 "
+            "(raise the cap explicitly if you really want this)"
+        )
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    X=st.integers(0, 2**32 - 1).map(lambda seed: random_pure_complex(random.Random(seed))),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(X=complete(6, 3), seed=0)
+@example(X=projective_flag(2, 4), seed=0)
+def test_is_locally_minimal_matches_its_site_loop(X, seed):
+    rng = random.Random(seed)
+    for k in range(0, X.d + 1):
+        dense = random_cochain(rng, X, k)
+        mask = rng.getrandbits(X.n_faces(k)) & rng.getrandbits(X.n_faces(k))
+        sparse = X.cochain_from_bits(k, dense.bits & mask)
+        for A in (dense, sparse, locally_minimize(X, sparse).final):
+            got = is_locally_minimal(X, A)
+            assert got == oracle_is_locally_minimal(X, A)
+            assert got == (oracle_first_improving_move(X, A, None) is None)
 
 
 def test_locally_minimal_examples():
