@@ -19,7 +19,7 @@ from .caps import DEFAULT_CAP
 from .cohomology import cosystole, expansion
 from .core import Complex
 from .criterion import constants, criterion_report, least_link_expansion, link_expansions
-from .errors import HdxError
+from .errors import HdxError, NotRegular, NoValidTyping
 from .fat import fat_profile, verify_seep
 from .generators import (
     GenSpec,
@@ -77,12 +77,6 @@ def _cochain(X: Complex, args):
             raise HdxError(f"face index {i} outside X({args.k}) of size {X.n_faces(args.k)}")
         bits |= 1 << i
     return X.cochain_from_bits(args.k, bits)
-
-
-def _maybe_types(X: Complex, args) -> dict[str, int] | None:
-    if getattr(args, "types", None):
-        return load_types(args.types)
-    return None
 
 
 # -- verb implementations (result dict, exit code) ------------------------------
@@ -232,10 +226,8 @@ def _run_seep_check(args):
 
 def _regularity_or_report(X, args):
     """RegularStructure, or a failure report dict for non-regular input."""
-    from .errors import NotRegular, NoValidTyping
-
     try:
-        return regularity(X, _maybe_types(X, args)), None
+        return regularity(X, load_types(args.types) if args.types else None), None
     except (NotRegular, NoValidTyping) as exc:
         report = {"regular": False, "reason": type(exc).__name__, "detail": str(exc)}
         if isinstance(exc, NotRegular):
@@ -322,6 +314,7 @@ def _run_criterion(args):
 
 def _add_common(sub, input_path=True) -> argparse.Action:
     """Add the options every verb takes; returns the `--out` action."""
+    sub.set_defaults(_parser=sub)  # usage errors name the verb
     if input_path:
         sub.add_argument("input", help="path to a .cx complex file")
     out = sub.add_argument("--out", default=None,
@@ -428,10 +421,11 @@ _EXCLUDED_OPTIONS = {"func", "verb", "out", "format", "writes_file", "input"}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args._parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.cap is not None and args.cap > DEFAULT_CAP and not args.ack_exponential:
-        parser.error("raising --cap beyond the default needs --i-know-this-is-exponential")
+        args._parser.error("raising --cap beyond the default needs --i-know-this-is-exponential")
     options = {
         key: (str(value) if isinstance(value, Fraction) else value)
         for key, value in sorted(vars(args).items())

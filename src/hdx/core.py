@@ -375,6 +375,8 @@ class Complex:
 
     def max_vertex_link_size(self) -> int:
         """Largest total face count (including the empty face) of a vertex link."""
+        if self.d == 0:  # a vertex is a top face; its link is the empty face alone
+            return 1
         return max(self.link((v,)).total_face_count for v in range(len(self.vertex_names)))
 
     # -- dunder ---------------------------------------------------------------

@@ -30,9 +30,8 @@ from .errors import BadDimension, BadParam, NotBiregular, NotRegular, NoValidTyp
 from .f2 import iter_bits
 
 MIXING_SLACK = 1e-9
-MIXING_BLOCK = 1 << 17  # subset pairs per vectorized block, cache-sized
+SUBSET_BLOCK = 1 << 17  # subsets, or subset pairs, per vectorized block
 FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller absolute value
-ALPHA_EXHAUSTIVE_CAP = 1 << 20  # vertex subsets
 
 
 # -- regular structure --------------------------------------------------------
@@ -167,10 +166,6 @@ class BipartiteTypeGraph:
     right_degree: int
     connected: bool
 
-    @property
-    def n(self) -> int:
-        return len(self.left) + len(self.right)
-
 
 def type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> BipartiteTypeGraph:
     if i == j:
@@ -213,7 +208,6 @@ def type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> BipartiteType
 class SpectralReport:
     pair: tuple[int, int]
     lambda1: float
-    second_eigenvalue: float  # raw, before normalization
     lambda2_normalized: float  # max(second/lambda1, 0)
     residual: float
     degrees: tuple[int, int]
@@ -236,7 +230,6 @@ def lambda2(G: BipartiteTypeGraph) -> SpectralReport:
     return SpectralReport(
         (G.i, G.j),
         lam1,
-        second,
         normalized,
         residual,
         (G.left_degree, G.right_degree),
@@ -268,17 +261,26 @@ def _subset_sums(w) -> np.ndarray:
     return out
 
 
-def _subset_tops(X: Complex) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top counts of every vertex subset (by bitmask) and of its inner edges."""
+def _subset_tops(X: Complex, lo: int = 0, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top counts of the vertex subsets lo .. lo + 2^k - 1 (default: all;
+    2^k divides lo) and of their inner edges. A subset is its low bits l plus
+    the high vertices H of lo: inner = inner_low[l] + edges(H, l) + inner[H]."""
     n = len(X.vertex_names)
+    k = n if k is None else k
+    tops = np.array(X.top_counts(0), dtype=np.int64)
     pair = np.zeros((n, n), dtype=np.int64)
     if X.d >= 1:
         for (u, v), t in zip(X.faces(1), X.top_counts(1)):
             pair[u, v] = pair[v, u] = t
-    inner = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):  # adding i to a subset below 2^i adds its edges into it
+    inner = np.zeros(1 << k, dtype=np.int64)
+    for i in range(k):  # adding i to a subset below 2^i adds its edges into it
         inner[1 << i : 2 << i] = inner[: 1 << i] + _subset_sums(pair[i, :i])
-    return _subset_sums(X.top_counts(0)), inner
+    vtop = _subset_sums(tops[:k])
+    if lo:
+        high = list(iter_bits(lo))
+        inner += _subset_sums(pair[high, :k].sum(0)) + pair[np.ix_(high, high)].sum() // 2
+        vtop += tops[high].sum()
+    return vtop, inner
 
 
 def _mixing_margin(X: Complex, edge_tops, va, vb, lam: float):
@@ -308,11 +310,6 @@ class MixingReport:
         return self.verdict != "fail"
 
 
-def _vertex_norm(X: Complex, ids: set[int]) -> Fraction:
-    tops = X.top_counts(0)
-    return Fraction(sum(tops[v] for v in ids), X.norm_den(0))
-
-
 def _mixing_lam(X: Complex, R: RegularStructure, lam: float | None) -> float:
     """lam, or lambda_max when it is None. The mixing bound needs d >= 1 and
     a finite lam >= 0, which makes its eigenvalue term >= 0."""
@@ -331,8 +328,8 @@ def mixing_check(X: Complex, R: RegularStructure, a, b, lam: float | None = None
     sa = X.vertex_ids(a)
     sb = X.vertex_ids(b)
     lhs = X.edges_between(sa, sb).norm()
-    na = _vertex_norm(X, sa)
-    nb = _vertex_norm(X, sb)
+    na = X.cochain(0, [(v,) for v in sa]).norm()
+    nb = X.cochain(0, [(v,) for v in sb]).norm()
     prod = float(na) * float(nb)
     rhs = 2.0 * (X.d + 1) / X.d * (prod + lam * math.sqrt(prod))
     den0 = X.norm_den(0)
@@ -391,7 +388,7 @@ def mixing_check_all(
     # a block pairs every B with the 2^k subsets A that share their bits from
     # k up, A_hi. With table[a, h, b] = N inner[h << k | (a & b)] for a, b < 2^k,
     # the block's N inner[A & B] is table[:, A_hi & B_hi, :], a gather of rows
-    k = min(n, max(0, (MIXING_BLOCK >> n).bit_length() - 1))
+    k = min(n, max(0, (SUBSET_BLOCK >> n).bit_length() - 1))
     low = np.arange(1 << k)
     high = np.arange(size >> k)
     table = (N * inner).astype(dtype).reshape(size >> k, 1 << k)[:, low[:, None] & low]
@@ -449,21 +446,27 @@ def skeleton_alpha(
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     n = len(X.vertex_names)
-    check_enumeration(1 << n, ALPHA_EXHAUSTIVE_CAP if cap is None else cap, "vertex subsets")
-    vtop, inner = _subset_tops(X)
+    check_enumeration(1 << n, cap, "vertex subsets")
     den0 = X.norm_den(0)
     den1 = X.norm_den(1) if X.d >= 1 else 1
-    approx = inner[1:] * (den0 / (4 * den1)) / vtop[1:] - vtop[1:] / den0
     # inner <= den1 and 1 <= vtop <= den0 put both terms in [0, B], B = den0/4 + 1;
-    # five roundings leave each value within 5 * 2^-53 B of the exact one, so a
-    # shortlist 2^-40 B wide holds every exact maximizer
+    # five roundings leave each value within 5 * 2^-53 B of the exact one. The
+    # running maximum is at most the global one, so a shortlist 2^-40 B below
+    # it holds every exact maximizer; blocks ascend and a tie keeps the first
     bound = (den0 / 4 + 1) * 2.0**-40
+    k = min(n, SUBSET_BLOCK.bit_length() - 1)  # SUBSET_BLOCK >= 2: block 0 has a nonempty subset
+    top = -math.inf
     best: tuple[Fraction, int] | None = None
-    for m in np.flatnonzero(approx >= approx.max() - bound) + 1:
-        na = Fraction(int(vtop[m]), den0)
-        val = (Fraction(int(inner[m]), 4 * den1) - na * na) / na
-        if best is None or val > best[0]:
-            best = (val, int(m))
+    for lo in range(0, 1 << n, 1 << k):
+        vtop, inner = _subset_tops(X, lo, k)
+        skip = int(lo == 0)  # the empty subset has no ratio
+        approx = inner[skip:] * (den0 / (4 * den1)) / vtop[skip:] - vtop[skip:] / den0
+        top = max(top, float(approx.max()))
+        for m in np.flatnonzero(approx >= top - bound) + skip:
+            na = Fraction(int(vtop[m]), den0)
+            val = (Fraction(int(inner[m]), 4 * den1) - na * na) / na
+            if best is None or val > best[0]:
+                best = (val, lo + int(m))
     raw, mask = best
     witness = tuple(X.vertex_names[v] for v in iter_bits(mask))
     return AlphaReport("exhaustive", max(raw, Fraction(0)), raw, witness)

@@ -131,6 +131,10 @@ def test_cap_override_needs_acknowledgment(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["cosystole", "--k", "1", "--cap", str(1 << 30), cx])
     assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hdx cosystole ")
+    assert err.endswith("hdx cosystole: error: raising --cap beyond the default "
+                        "needs --i-know-this-is-exponential\n")
     code, _ = run_cli(
         capsys, "cosystole", "--k", "1", "--cap", str(1 << 30),
         "--i-know-this-is-exponential", cx,
@@ -245,7 +249,8 @@ def test_bad_hdx_threads_is_one_line(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert info.value.code == 1 and captured.out == "" and not os.path.exists(cx)
     errors = [line for line in captured.err.splitlines() if "error" in line]
-    assert errors == ["hdx: error: unrecognized arguments: --threads 2"]
+    assert errors == ["hdx generate: error: unrecognized arguments: --threads 2"]
+    assert captured.err.startswith("usage: hdx generate ")
     assert captured.err.endswith(errors[0] + "\n")
 
     assert run_cli(capsys, "generate", "--kind", "cycle", "--n", "4", "--out", cx)[0] == 0
@@ -253,6 +258,17 @@ def test_bad_hdx_threads_is_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HDX_THREADS", "abc")
     assert run_cli(capsys, "info", cx) == plain
     assert capsys.readouterr().err == ""
+
+
+def test_zero_dimensional_info_and_criterion(tmp_path, capsys):
+    cx = os.path.join(tmp_path, "points.cx")
+    with open(cx, "w", encoding="utf-8") as fh:
+        fh.write("a\nb\nc\n")
+    code, out = run_cli(capsys, "info", cx)
+    assert code == 0 and json.loads(out)["result"]["Q"] == 1
+    code, out = run_cli(capsys, "criterion", cx)
+    assert code == 2
+    assert json.loads(out)["result"]["hypotheses"]["verdict"] == "not_applicable"
 
 
 def test_generate_requires_out(capsys):

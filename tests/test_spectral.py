@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -358,6 +361,10 @@ def test_skeleton_alpha_cap():
     X = complete(6, 2)
     with pytest.raises(TooLarge):
         skeleton_alpha(X, cap=1 << 4)
+    # the default is the one DEFAULT_CAP of every exhaustive search
+    assert skeleton_alpha(cycle(21)).value == Fraction(5, 168)
+    with pytest.raises(TooLarge, match="cap is 16777216"):
+        skeleton_alpha(cycle(25))
 
 
 def test_skeleton_alpha_isolated_vertices():
@@ -367,17 +374,47 @@ def test_skeleton_alpha_isolated_vertices():
     assert rep.value == 0
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(
-    st.integers(0, 2**32 - 1).map(
+def alpha_corpus(test):
+    """The derandomized skeleton_alpha corpus. complete(6, 2) and
+    complete_partite(2, 2) have many tied subsets, which checks that the float
+    shortlist keeps the smallest exact maximizer."""
+    for X in (complete(6, 2), complete_partite(2, 2), build_complex([("a",), ("b",), ("c",)])):
+        test = example(X=X)(test)
+    complexes = st.integers(0, 2**32 - 1).map(
         lambda seed: random_pure_complex(random.Random(seed), dims=(0, 1, 2, 3), max_n=9)
     )
-)
-@example(complete(6, 2))
-@example(complete_partite(2, 2))
-@example(build_complex([("a",), ("b",), ("c",)]))
+    return settings(derandomize=True, deadline=None, max_examples=60)(given(X=complexes)(test))
+
+
+@alpha_corpus
 def test_skeleton_alpha_matches_oracle(X):
-    # complete(6, 2) and complete_partite(2, 2) have many tied subsets, which
-    # checks that the float shortlist keeps the smallest exact maximizer
     rep = skeleton_alpha(X)
     assert (rep.value, rep.raw_max, rep.witness) == oracle_skeleton_alpha(X)
+
+
+@pytest.mark.parametrize("block", [2, 4])
+@alpha_corpus
+def test_skeleton_alpha_does_not_depend_on_the_block_size(block, X):
+    # with tiny blocks the running shortlist maximum and the ties span blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hdx.spectral, "SUBSET_BLOCK", block)
+        rep = skeleton_alpha(X)
+    assert (rep.value, rep.raw_max, rep.witness) == oracle_skeleton_alpha(X)
+
+
+def test_skeleton_alpha_memory_is_one_block():
+    # the full tables of 2^22 subsets alone take over 100 MB
+    script = (
+        "import resource\n"
+        "from fractions import Fraction\n"
+        "from hdx.generators import linial_meshulam\n"
+        "from hdx.spectral import skeleton_alpha\n"
+        "skeleton_alpha(linial_meshulam(22, 2, Fraction(1, 2), 1).complex, cap=1 << 22)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 100 * 1024  # KiB
