@@ -379,6 +379,84 @@ class Complex:
             return 1
         return max(self.link((v,)).total_face_count for v in range(len(self.vertex_names)))
 
+    # -- isomorphism ------------------------------------------------------------
+
+    def isomorphism(self, other: "Complex") -> tuple[int, ...] | None:
+        """A vertex bijection phi (vertex v goes to vertex phi[v] of other)
+        that maps every top face of self to a top face of other, or None.
+
+        The top counts of every dimension, sorted, filter first. Then vertices
+        are placed in BFS order over shared top faces: each vertex's images are
+        the unused neighbours of its anchor's image with its top count, and a
+        top face is checked as soon as all of its vertices are placed. The
+        counts are equal, so the map is onto, and it preserves every weight,
+        norm denominator and coboundary.
+        """
+        d = self.d
+        if other.d != d or any(
+            sorted(self._tops[k]) != sorted(other._tops[k]) for k in range(d + 1)
+        ):
+            return None
+        n = len(self.vertex_names)
+        tops, other_tops = self._faces[d], set(other._faces[d])
+        count, other_count = self._tops[0], other._tops[0]
+        near = [set() for _ in range(n)]  # vertices sharing a top face, that is an edge
+        other_near = [set() for _ in range(n)]
+        if d:
+            for edges, nb in ((self._faces[1], near), (other._faces[1], other_near)):
+                for u, v in edges:
+                    nb[u].add(v)
+                    nb[v].add(u)
+        order: list[int] = []
+        anchor: list[int | None] = []
+        pos: dict[int, int] = {}
+        for root in range(n):
+            if root in pos:
+                continue
+            pos[root] = len(order)
+            order.append(root)
+            anchor.append(None)
+            i = len(order) - 1
+            while i < len(order):
+                u = order[i]
+                i += 1
+                for w in sorted(near[u]):
+                    if w not in pos:
+                        pos[w] = len(order)
+                        order.append(w)
+                        anchor.append(u)
+        closes: list[list[Face]] = [[] for _ in range(n)]  # top faces complete at each step
+        for top in tops:
+            closes[max(pos[v] for v in top)].append(top)
+
+        phi = [-1] * n
+        used = [False] * n
+
+        def images(j: int):
+            v, a = order[j], anchor[j]
+            pool = range(n) if a is None else sorted(other_near[phi[a]])
+            return (w for w in pool if other_count[w] == count[v] and not used[w])
+
+        stack = [images(0)]
+        while stack:
+            j = len(stack) - 1
+            v = order[j]
+            if phi[v] >= 0:
+                used[phi[v]] = False
+            for w in stack[-1]:
+                phi[v] = w
+                if all(tuple(sorted(phi[u] for u in top)) in other_tops for top in closes[j]):
+                    break
+            else:
+                phi[v] = -1
+                stack.pop()
+                continue
+            used[w] = True
+            if j + 1 == n:
+                return tuple(phi)
+            stack.append(images(j + 1))
+        return None
+
     # -- dunder ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

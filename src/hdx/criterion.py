@@ -137,12 +137,49 @@ def _proper_links(X: Complex):
             yield sigma
 
 
-def link_expansions(X: Complex, cap: int | None = None):
-    """Yield (sigma, link, coboundary expansions at k = 0..link.d-1) for every
-    proper link, lazily and in canonical order."""
+def _link_classes(X: Complex):
+    """Yield (sigma, link, rep) for every proper link in canonical order: rep
+    is the first earlier link isomorphic to this one, or the link itself.
+
+    An isomorphism carries top counts, norm denominators and coboundaries
+    over, so every expansion value and skeleton constant of rep is the
+    link's. Candidates share the sorted top counts of every dimension; a
+    match is accepted only with an explicit vertex bijection.
+    """
+    reps: dict[tuple, list[Complex]] = {}
+    links = classes = expansions = 0
     for sigma in _proper_links(X):
         link = X.link(sigma)
-        yield sigma, link, [expansion(link, k, "coboundary", cap).value for k in range(link.d)]
+        links += 1
+        key = tuple(tuple(sorted(link.top_counts(k))) for k in range(link.d + 1))
+        same = reps.setdefault(key, [])
+        rep = next((r for r in same if link.isomorphism(r) is not None), None)
+        if rep is None:
+            rep = link
+            same.append(link)
+            classes += 1
+            expansions += link.d
+        yield sigma, link, rep
+    import logging  # here, so that `import hdx` does not pay for it
+
+    logging.getLogger("hdx").debug(
+        "link sweep: %d links, %d classes, %d expansions", links, classes, expansions
+    )
+
+
+def _coboundary_expansions(link: Complex, cap: int | None) -> list:
+    return [expansion(link, k, "coboundary", cap).value for k in range(link.d)]
+
+
+def link_expansions(X: Complex, cap: int | None = None):
+    """Yield (sigma, link, coboundary expansions at k = 0..link.d-1) for every
+    proper link, lazily and in canonical order; each isomorphism class of
+    links is measured once."""
+    values = {}
+    for sigma, link, rep in _link_classes(X):
+        if rep is link:
+            values[rep] = _coboundary_expansions(link, cap)
+        yield sigma, link, list(values[rep])
 
 
 def least_link_expansion(X: Complex, rows) -> tuple[Fraction | None, dict | None]:
@@ -204,16 +241,22 @@ def criterion_report(X: Complex, cap: int | None = None) -> dict:
     links = []
     rows = []
     alpha_values = []
-    for sigma, link, values in link_expansions(X, cap):
-        alpha = skeleton_alpha(link, "exhaustive", cap)
+    measured = {}  # class representative -> (expansions, skeleton constant)
+    for sigma, link, rep in _link_classes(X):
+        if rep is link:
+            measured[rep] = (
+                _coboundary_expansions(link, cap),
+                skeleton_alpha(link, "exhaustive", cap).value,
+            )
+        values, alpha = measured[rep]
         links.append({
             "face": list(X.tokens_of(sigma)),
             "dim": link.d,
             "exp_b": [{"k": k, "value": rat_json(v)} for k, v in enumerate(values)],
-            "alpha_star": rat_json(alpha.value),
+            "alpha_star": rat_json(alpha),
         })
         rows.append((sigma, link, values))
-        alpha_values.append(alpha.value)
+        alpha_values.append(alpha)
     beta_star, beta_witness = least_link_expansion(X, rows)
 
     alpha_x = skeleton_alpha(X, "exhaustive", cap)

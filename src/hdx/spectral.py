@@ -261,25 +261,35 @@ def _subset_sums(w) -> np.ndarray:
     return out
 
 
-def _subset_tops(X: Complex, lo: int = 0, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top counts of the vertex subsets lo .. lo + 2^k - 1 (default: all;
-    2^k divides lo) and of their inner edges. A subset is its low bits l plus
-    the high vertices H of lo: inner = inner_low[l] + edges(H, l) + inner[H]."""
+def _subset_blocks(X: Complex, k: int):
+    """Yield (lo, vtop, inner) for the blocks lo .. lo + 2^k - 1 of vertex
+    subsets in ascending order: the exact top counts of each subset and of
+    its inner edges. A subset is its low bits l plus the high vertices H of
+    lo, so inner = inner_low[l] + edges(H, l) + inner[H]; the low tables are
+    built once and each block adds only its high-vertex terms."""
     n = len(X.vertex_names)
-    k = n if k is None else k
     tops = np.array(X.top_counts(0), dtype=np.int64)
     pair = np.zeros((n, n), dtype=np.int64)
     if X.d >= 1:
         for (u, v), t in zip(X.faces(1), X.top_counts(1)):
             pair[u, v] = pair[v, u] = t
-    inner = np.zeros(1 << k, dtype=np.int64)
+    inner_low = np.zeros(1 << k, dtype=np.int64)
     for i in range(k):  # adding i to a subset below 2^i adds its edges into it
-        inner[1 << i : 2 << i] = inner[: 1 << i] + _subset_sums(pair[i, :i])
-    vtop = _subset_sums(tops[:k])
-    if lo:
+        inner_low[1 << i : 2 << i] = inner_low[: 1 << i] + _subset_sums(pair[i, :i])
+    vtop_low = _subset_sums(tops[:k])
+    yield 0, vtop_low, inner_low
+    for lo in range(1 << k, 1 << n, 1 << k):
         high = list(iter_bits(lo))
-        inner += _subset_sums(pair[high, :k].sum(0)) + pair[np.ix_(high, high)].sum() // 2
-        vtop += tops[high].sum()
+        yield (
+            lo,
+            vtop_low + tops[high].sum(),
+            inner_low + _subset_sums(pair[high, :k].sum(0)) + pair[np.ix_(high, high)].sum() // 2,
+        )
+
+
+def _subset_tops(X: Complex) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top counts of every vertex subset and of its inner edges."""
+    _, vtop, inner = next(_subset_blocks(X, len(X.vertex_names)))
     return vtop, inner
 
 
@@ -457,8 +467,7 @@ def skeleton_alpha(
     k = min(n, SUBSET_BLOCK.bit_length() - 1)  # SUBSET_BLOCK >= 2: block 0 has a nonempty subset
     top = -math.inf
     best: tuple[Fraction, int] | None = None
-    for lo in range(0, 1 << n, 1 << k):
-        vtop, inner = _subset_tops(X, lo, k)
+    for lo, vtop, inner in _subset_blocks(X, k):
         skip = int(lo == 0)  # the empty subset has no ratio
         approx = inner[skip:] * (den0 / (4 * den1)) / vtop[skip:] - vtop[skip:] / den0
         top = max(top, float(approx.max()))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -39,6 +39,40 @@ def random_pure_complex(
 
 def random_cochain(rng: random.Random, X: Complex, k: int) -> Cochain:
     return X.cochain_from_bits(k, rng.getrandbits(X.n_faces(k)))
+
+
+def relabeled(rng: random.Random, X: Complex) -> Complex:
+    """X with its vertex names shuffled, so its vertex ids are permuted."""
+    names = list(X.vertex_names)
+    rng.shuffle(names)
+    rename = dict(zip(X.vertex_names, names))
+    return build_complex([[rename[t] for t in X.tokens_of(top)] for top in X.faces(X.d)])
+
+
+# -- isomorphism ----------------------------------------------------------------
+
+
+def is_isomorphism(X: Complex, Y: Complex, phi) -> bool:
+    """phi is a bijection from the vertex ids of X onto those of Y that maps
+    the top faces of X onto the top faces of Y."""
+    n = len(X.vertex_names)
+    if X.d != Y.d or len(phi) != n or sorted(phi) != list(range(len(Y.vertex_names))):
+        return False
+    return {tuple(sorted(phi[v] for v in top)) for top in X.faces(X.d)} == set(Y.faces(Y.d))
+
+
+def oracle_isomorphic(X: Complex, Y: Complex) -> bool:
+    """Whether any of the n! vertex maps is an isomorphism (n <= 7). With
+    equally many top faces, a bijection mapping each into Y's maps them onto."""
+    n = len(X.vertex_names)
+    assert n <= 7, "the oracle tries all n! vertex maps"
+    if X.d != Y.d or n != len(Y.vertex_names) or X.n_top != Y.n_top:
+        return False
+    tops = set(Y.faces(Y.d))
+    return any(
+        all(tuple(sorted(phi[v] for v in top)) in tops for top in X.faces(X.d))
+        for phi in permutations(range(n))
+    )
 
 
 # -- independent GF(2) helpers -------------------------------------------------

@@ -20,7 +20,13 @@ from hdx.errors import (
     UnknownVertex,
 )
 from hdx.generators import complete, complete_partite, projective_flag
-from helpers import random_cochain, random_pure_complex
+from helpers import (
+    is_isomorphism,
+    oracle_isomorphic,
+    random_cochain,
+    random_pure_complex,
+    relabeled,
+)
 
 
 def test_build_single_simplex():
@@ -392,3 +398,73 @@ def test_links_and_skeletons_equal_their_token_builds(X):
                 ]
     for k in range(0, X.d + 1):
         _same_complex(X.skeleton(k), Complex.build([X.tokens_of(f) for f in X.faces(k)]))
+
+
+# -- isomorphism ------------------------------------------------------------------
+
+
+def _filter_key(X):
+    return tuple(tuple(sorted(X.top_counts(k))) for k in range(X.d + 1))
+
+
+def _assert_matches_oracle(X, Y):
+    phi = X.isomorphism(Y)
+    assert (phi is not None) == oracle_isomorphic(X, Y)
+    assert phi is None or is_isomorphism(X, Y, phi)
+    return phi
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_isomorphism_matches_brute_force(seed):
+    rng = random.Random(seed)
+    X = random_pure_complex(rng, dims=(1, 2), min_n=3, max_n=7, max_tops=10)
+    assert _assert_matches_oracle(X, relabeled(rng, X)) is not None
+    _assert_matches_oracle(X, random_pure_complex(rng, dims=(X.d,), min_n=3, max_n=7, max_tops=10))
+
+
+def test_isomorphism_on_pairs_sharing_the_filter_key():
+    # C6 and two disjoint triangles are both 2-regular on 6 vertices
+    c6 = build_complex([(str(i), str((i + 1) % 6)) for i in range(6)])
+    triangles = build_complex([("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"), ("x", "z")])
+    assert _filter_key(c6) == _filter_key(triangles)
+    assert _assert_matches_oracle(c6, triangles) is None
+    # few vertices and top faces: many seeded draws share a key, isomorphic or not
+    rng = random.Random(18)
+    groups = {}
+    for _ in range(400):
+        X = random_pure_complex(rng, dims=(1, 2), min_n=5, max_n=6, max_tops=6)
+        groups.setdefault(_filter_key(X), []).append(X)
+    found = {True: 0, False: 0}
+    for same in groups.values():
+        for X, Y in combinations(same[:5], 2):
+            found[_assert_matches_oracle(X, Y) is not None] += 1
+    assert min(found.values()) >= 20
+
+
+def test_isomorphism_shrikhande_is_not_the_rook_graph():
+    # both are strongly regular with parameters (16, 6, 2, 2), so every
+    # degree and face count agrees
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = build_complex(
+        [(f"{a}{b}", f"{c}{e}") for a, b in cells for c, e in cells
+         if ((c - a) % 4, (e - b) % 4) in steps]
+    )
+    rook = build_complex(
+        [(f"{a}{b}", f"{c}{e}") for (a, b), (c, e) in combinations(cells, 2) if a == c or b == e]
+    )
+    assert _filter_key(shrikhande) == _filter_key(rook)
+    assert shrikhande.isomorphism(rook) is None
+    assert rook.isomorphism(shrikhande) is None
+    phi = rook.isomorphism(relabeled(random.Random(3), rook))
+    assert phi is not None
+
+
+def test_isomorphism_edge_cases():
+    points = build_complex([("a",), ("b",), ("c",)])
+    assert points.isomorphism(build_complex([("x",), ("y",), ("z",)])) == (0, 1, 2)
+    assert complete(4, 2).isomorphism(complete(4, 1)) is None
+    assert complete(4, 1).isomorphism(complete(5, 1)) is None
+    P = projective_flag(2, 3)
+    assert is_isomorphism(P, P, P.isomorphism(P))

@@ -1,9 +1,13 @@
+import logging
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hdx.cohomology import expansion
 from hdx.core import build_complex
 from hdx.criterion import (
     constants,
@@ -12,10 +16,11 @@ from hdx.criterion import (
     link_expansions,
     log2_fraction,
 )
-from hdx.errors import BadParam
-from hdx.generators import complete, projective_flag
-from hdx.reportio import rat_from_json
-from hdx.spectral import AlphaReport
+from hdx.errors import BadParam, TooLarge
+from hdx.generators import complete, complete_partite, projective_flag
+from hdx.reportio import rat_from_json, rat_json
+from hdx.spectral import AlphaReport, skeleton_alpha
+from helpers import random_pure_complex
 
 
 def test_constants_worked_values():
@@ -152,3 +157,62 @@ def test_alpha_verdict_is_exact(monkeypatch):
         )
         hyp = criterion_report(X)["hypotheses"]
         assert (hyp["verdict"], hyp["marginal"]) == (verdict, False)
+
+
+# -- one measurement per isomorphism class of links ------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: random_pure_complex(random.Random(seed), dims=(2, 3), max_n=8, max_tops=10)
+    )
+)
+@example(complete(6, 3))
+@example(complete_partite(2, 2))
+@example(build_complex([("a", "b", "v"), ("c", "d", "v")]))
+def test_link_reuse_equals_direct_calls(X):
+    rows = list(link_expansions(X))
+    direct = [
+        (sigma, X.link(sigma), [expansion(X.link(sigma), k, "coboundary").value
+                                for k in range(X.link(sigma).d)])
+        for size in range(1, X.d) for sigma in X.faces(size - 1)
+    ]
+    assert [(s, L) for s, L, _ in rows] == [(s, L) for s, L, _ in direct]
+    assert all(r[1] is L for r, (_, L, _) in zip(rows, direct))
+    assert [v for _, _, v in rows] == [v for _, _, v in direct]
+    assert len({id(values) for _, _, values in rows}) == len(rows)  # no shared lists
+    report = criterion_report(X)
+    assert [row["alpha_star"] for row in report["links"]] == [
+        rat_json(skeleton_alpha(L).value) for _, L, _ in direct
+    ]
+    assert [[rat_from_json(e["value"]) for e in row["exp_b"]] for row in report["links"]] == [
+        v for _, _, v in direct
+    ]
+
+
+def test_link_sweep_logs_links_classes_and_expansions(caplog):
+    # complete(6, 3): 6 vertex links complete(5, 2) and 15 edge links complete(4, 1)
+    with caplog.at_level(logging.DEBUG, logger="hdx"):
+        list(link_expansions(complete(6, 3)))
+    assert [r.getMessage() for r in caplog.records] == [
+        "link sweep: 21 links, 2 classes, 3 expansions"
+    ]
+
+
+def test_link_reuse_raises_at_the_first_link_over_the_cap():
+    # the links of b, c, d, e are paths on 3 vertices, that of the apex z a
+    # 4-cycle: with cap 8 only z, the last link, is too large
+    X = build_complex([("z", "b", "c"), ("z", "c", "d"), ("z", "d", "e"), ("z", "e", "b")])
+    rows = link_expansions(X, cap=8)
+    assert [X.tokens_of(sigma) for sigma, _, _ in (next(rows) for _ in range(4))] == [
+        ("b",), ("c",), ("d",), ("e",)
+    ]
+    with pytest.raises(TooLarge) as direct:
+        expansion(X.link(("z",)), 0, "coboundary", 8)
+    with pytest.raises(TooLarge) as reused:
+        next(rows)
+    assert str(reused.value) == str(direct.value)
+    with pytest.raises(TooLarge) as report:
+        criterion_report(X, cap=8)
+    assert str(report.value) == str(direct.value)

@@ -1,9 +1,11 @@
 import hashlib
 import os
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from hdx.cohomology import cohomology_dim
 from hdx.core import build_complex
 from hdx.errors import BadParam, EmptyInput, NotPrime, NotPure, ParseError
 from hdx.generators import (
@@ -63,6 +65,44 @@ def test_projective_flag_counts():
         # thickness: every panel lies in exactly q+1 chambers
         if X.d >= 1:
             assert set(X.top_counts(X.d - 1)) == {q + 1}
+        assert [X.n_faces(k) for k in range(X.d + 1)] == [
+            sum(_flags(n, dims, q) for dims in combinations(range(1, n), k + 1))
+            for k in range(X.d + 1)
+        ]
+    assert [projective_flag(2, 4).n_faces(k) for k in range(3)] == [65, 315, 315]
+
+
+def _flags(n, dims, q):
+    """Flags of subspaces of F_q^n with the given increasing dimensions."""
+    total, outer = 1, n
+    for dim in reversed(dims):
+        total *= gaussian_binomial(outer, dim, q)
+        outer = dim
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_projective_flag_links_are_buildings(q):
+    # the link of a line in F_q^4 joins the points and planes through it,
+    # K_{q+1,q+1}; the link of a point or a plane is the flag complex of F_q^3
+    X = projective_flag(q, 4)
+    line, plane = complete_partite(1, q + 1), projective_flag(q, 3)
+    found = {True: 0, False: 0}
+    for v, name in enumerate(X.vertex_names):
+        is_line = name.count("|") == 1
+        assert X.link((v,)).isomorphism(line if is_line else plane) is not None
+        found[is_line] += 1
+    assert found == {True: gaussian_binomial(4, 2, q), False: 2 * gaussian_binomial(4, 1, q)}
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_projective_flag_solomon_tits(q, n):
+    # a building of rank n - 1 has the homotopy type of q^(n(n-1)/2) spheres
+    # of dimension n - 2; the (-1)-face makes hdx's cohomology reduced
+    X = projective_flag(q, n)
+    assert [cohomology_dim(X, k) for k in range(-1, n - 1)] == [0] * (n - 1) + [
+        q ** (n * (n - 1) // 2)
+    ]
 
 
 def test_projective_flag_heawood_shape():
