@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadDimension,
@@ -36,29 +36,19 @@ Face = tuple[int, ...]  # sorted internal vertex ids; () is the (-1)-face
 class Complex:
     """A finite pure d-dimensional simplicial complex."""
 
-    def __init__(self, d: int, vertex_names: tuple[str, ...], top_faces: tuple[Face, ...]):
-        """Internal constructor; use :meth:`build` or a generator instead."""
+    def __init__(self, d: int, vertex_names: tuple[str, ...], faces: dict, tops: dict):
+        """Internal constructor; use :meth:`build` or a generator instead.
+
+        faces[k] lists the k-faces in canonical order, k = -1..d, and tops[k]
+        the number of top faces containing each of them."""
         self.d = d
         self.vertex_names = vertex_names
         self._vid = {name: i for i, name in enumerate(vertex_names)}
-
-        # downward closure with top-face incidence counts
-        counts = {
-            k: Counter(chain.from_iterable(combinations(top, k + 1) for top in top_faces))
-            for k in range(-1, d + 1)
-        }
-
-        n_top = len(top_faces)
-        self._faces: dict[int, tuple[Face, ...]] = {}
-        self._index: dict[int, dict[Face, int]] = {}
-        self._tops: dict[int, tuple[int, ...]] = {}
-        self._den: dict[int, int] = {}
-        for k in range(-1, d + 1):
-            faces_k = tuple(sorted(counts[k]))
-            self._faces[k] = faces_k
-            self._index[k] = {f: i for i, f in enumerate(faces_k)}
-            self._tops[k] = tuple(counts[k][f] for f in faces_k)
-            self._den[k] = comb(d + 1, k + 1) * n_top
+        self._faces = faces
+        self._tops = tops
+        self._index = {k: {f: i for i, f in enumerate(fs)} for k, fs in faces.items()}
+        n_top = len(faces[d])
+        self._den = {k: comb(d + 1, k + 1) * n_top for k in range(-1, d + 1)}
 
         # up[k][i] = bitmask over X(k+1) of the cofaces of face i in X(k)
         up: dict[int, list[int]] = {k: [0] * len(self._faces[k]) for k in range(-1, d + 1)}
@@ -71,9 +61,9 @@ class Complex:
                     up_row[idx_down[sub]] |= bit
         self._up = {k: tuple(rows) for k, rows in up.items()}
 
-        # per proper face f: (link, parent id of each link vertex, and per
-        # link dimension the parent index of each link face)
-        self._links: dict[Face, tuple[Complex, tuple[int, ...], dict[int, list[int]]]] = {}
+        # per proper face f: (link, per link dimension the parent index of
+        # each link face)
+        self._links: dict[Face, tuple[Complex, dict[int, list[int]]]] = {}
         self._skeletons: dict[int, Complex] = {}
         self._weight_tables: dict[int, WeightTable] = {}
         self.memo: dict = {}  # objects other modules derive from this complex, by key
@@ -116,8 +106,8 @@ class Complex:
         d = sizes.pop() - 1
         names = tuple(sorted({t for s in maximal for t in s}))
         vid = {name: i for i, name in enumerate(names)}
-        tops = tuple(sorted(tuple(sorted(vid[t] for t in s)) for s in maximal))
-        return cls(d, names, tops)
+        tops = [tuple(sorted(vid[t] for t in s)) for s in maximal]
+        return cls(d, names, *_closure(d, tops))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -277,32 +267,28 @@ class Complex:
         if not f:
             return self
         if f not in self._links:
-            # ids are in sorted-token order, so renumbering the link's vertices
-            # densely in id order gives exactly Complex.build of its tokens
-            k = len(f) - 1
-            star = self.container(Cochain(self, k, 1 << self._index[k][f]), self.d)
-            fset = set(f)
-            rests = [tuple(v for v in top if v not in fset) for top in star.faces()]
-            ids = tuple(sorted(set(chain.from_iterable(rests))))
+            # the link's j-faces are the star's (|f|+j)-faces less f, kept in
+            # parent order: faces of one size compare by the least element of
+            # their symmetric difference, which removing f and renumbering the
+            # rest in id order leave alone, so this is Complex.build of the
+            # link's tokens
+            s = len(f)
+            star = self.cochain(s - 1, [f])
+            maps = {-1: list(star.indices())}
+            for j in range(self.d - s + 1):
+                star = self.container(star, s + j)
+                maps[j] = list(star.indices())
+            ids = [v for p in maps[0] for v in self._faces[s][p] if v not in f]
             new = {v: i for i, v in enumerate(ids)}
             link = Complex(
-                self.d - len(f),
+                self.d - s,
                 tuple(self.vertex_names[v] for v in ids),
-                tuple(sorted(tuple(new[v] for v in rest) for rest in rests)),
+                {j: tuple(tuple(new[v] for v in self._faces[s + j][p] if v not in f) for p in ps)
+                 for j, ps in maps.items()},
+                {j: tuple(self._tops[s + j][p] for p in ps) for j, ps in maps.items()},
             )
-            self._links[f] = (link, ids, {})
+            self._links[f] = (link, maps)
         return self._links[f][0]
-
-    def _link_map(self, f: Face, k_link: int) -> list[int]:
-        """Parent index of each link face at k_link."""
-        link, ids, maps = self._links[f]
-        if k_link not in maps:
-            index = self._index[k_link + len(f)]
-            maps[k_link] = [
-                index[tuple(sorted(f + tuple(ids[v] for v in lf)))]
-                for lf in link._faces[k_link]
-            ]
-        return maps[k_link]
 
     def localize(self, sigma: Iterable[object], A: "Cochain") -> "Cochain":
         """Restrict A to the faces containing sigma, viewed inside the link."""
@@ -314,7 +300,7 @@ class Complex:
         link = self.link(f)
         if not f:
             return A
-        to_parent = self._link_map(f, k_link)
+        to_parent = self._links[f][1][k_link]
         bits = 0
         a = A.bits
         for j, p in enumerate(to_parent):
@@ -330,7 +316,7 @@ class Complex:
             self.check_bound(B)
             return B
         link.check_bound(B)
-        to_parent = self._link_map(f, B.k)
+        to_parent = self._links[f][1][B.k]
         bits = 0
         for j in iter_bits(B.bits):
             bits |= 1 << to_parent[j]
@@ -358,7 +344,7 @@ class Complex:
         if k not in self._skeletons:
             # every vertex lies in a k-face and the k-faces are distinct, so
             # this is Complex.build of their tokens
-            self._skeletons[k] = Complex(k, self.vertex_names, self._faces[k])
+            self._skeletons[k] = Complex(k, self.vertex_names, *_closure(k, self._faces[k]))
         return self._skeletons[k]
 
     def edges_between(self, a: Iterable[object], b: Iterable[object]) -> "Cochain":
@@ -374,10 +360,9 @@ class Complex:
         return Cochain(self, 1, bits)
 
     def max_vertex_link_size(self) -> int:
-        """Largest total face count (including the empty face) of a vertex link."""
-        if self.d == 0:  # a vertex is a top face; its link is the empty face alone
-            return 1
-        return max(self.link((v,)).total_face_count for v in range(len(self.vertex_names)))
+        """Largest total face count (including the empty face) of a vertex link:
+        the link of v has one face for each face through v."""
+        return max(Counter(v for fs in self._faces.values() for f in fs for v in f).values())
 
     # -- isomorphism ------------------------------------------------------------
 
@@ -473,6 +458,17 @@ class Complex:
     def __repr__(self) -> str:
         fvec = ", ".join(str(len(self._faces[k])) for k in range(0, self.d + 1))
         return f"Complex(d={self.d}, faces=[{fvec}])"
+
+
+def _closure(d: int, top_faces: Sequence[Face]) -> tuple[dict, dict]:
+    """Faces of each dimension of the downward closure, in canonical order, and
+    the number of top faces containing each."""
+    faces, tops = {}, {}
+    for k in range(-1, d + 1):
+        counts = Counter(chain.from_iterable(combinations(top, k + 1) for top in top_faces))
+        faces[k] = tuple(sorted(counts))
+        tops[k] = tuple(counts[f] for f in faces[k])
+    return faces, tops
 
 
 class Cochain:

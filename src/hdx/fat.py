@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .cohomology import coboundary
-from .core import Cochain, Complex, Face
+from .core import Cochain, Complex
 from .errors import BadDimension, BadEta, BadParam, PreconditionUnverified
 from .f2 import iter_bits
 from .minimize import is_locally_minimal
@@ -40,8 +40,7 @@ def localized_norm(X: Complex, i: int, level_bits: int, face_idx: int) -> Fracti
     cof = X.up_rows(i - 1)[face_idx] & level_bits
     if cof == 0:
         return Fraction(0)
-    tops_i = X.top_counts(i)
-    s = sum(tops_i[t] for t in iter_bits(cof))
+    s = Cochain(X, i, cof).top_sum()
     return Fraction(
         s * X.norm_den(i - 1), X.norm_den(i) * (i + 1) * X.top_counts(i - 1)[face_idx]
     )
@@ -71,25 +70,16 @@ class FatProfile:
         level = len(f) - 1
         if level not in self.levels:
             raise BadDimension(f"no fat level at dimension {level}")
-        idx = X.face_index(f)
-        if not (self.levels[level].bits >> idx) & 1:
-            return X.empty_cochain(self.k)
-        return Cochain(X, self.k, _climb(X, self.levels, level, 1 << idx))
+        return _climb(X, self.levels, X.cochain(level, [f]))
 
 
-def _climb(X: Complex, levels: dict[int, Cochain], i: int, start_bits: int) -> int:
-    """Propagate reachability upward through the fat levels, one dimension a step."""
-    k = max(levels)
-    bits = start_bits & levels[i].bits
-    for j in range(i, k):
-        if bits == 0:
-            break
-        up = X.up_rows(j)
-        nxt = 0
-        for t in iter_bits(bits):
-            nxt |= up[t]
-        bits = nxt & levels[j + 1].bits
-    return bits
+def _climb(X: Complex, levels: dict[int, Cochain], start: Cochain) -> Cochain:
+    """Members of the top level reachable from the fat faces of start, one
+    dimension a step through the fat levels."""
+    reach = start & levels[start.k]
+    for j in range(start.k, max(levels)):
+        reach = X.container(reach, j + 1) & levels[j + 1]
+    return reach
 
 
 def fat_profile(X: Complex, A: Cochain, eta: Fraction) -> FatProfile:
@@ -111,34 +101,23 @@ def fat_profile(X: Complex, A: Cochain, eta: Fraction) -> FatProfile:
                     bits |= 1 << t
         levels[i - 1] = Cochain(X, i - 1, bits)
 
-    ladders = {
-        i: Cochain(X, k, _climb(X, levels, i, levels[i].bits)) for i in range(-1, k + 1)
-    }
+    ladders = {i: _climb(X, levels, levels[i]) for i in range(-1, k + 1)}
 
-    unions: set[Face] = set()
+    # two fat j-faces through a non-fat (j-1)-face t meet exactly in t, and
+    # their union is a face exactly when it is a common coface of both
+    degenerate = X.empty_cochain(k + 1)
     for j in range(0, k + 1):
-        sj = levels[j].bits
-        if sj == 0:
-            continue
-        sprev = levels[j - 1].bits
-        faces_j = X.faces(j)
-        up_prev = X.up_rows(j - 1)
-        for t in range(X.n_faces(j - 1)):
-            if (sprev >> t) & 1:
+        fat, fat_prev, up = levels[j].bits, levels[j - 1].bits, X.up_rows(j)
+        unions = 0
+        for t, cof in enumerate(X.up_rows(j - 1)):
+            if (fat_prev >> t) & 1:
                 continue
-            cof = up_prev[t] & sj
-            if cof.bit_count() < 2:
-                continue
-            idxs = list(iter_bits(cof))
-            for a in range(len(idxs)):
-                fa = faces_j[idxs[a]]
-                for b in range(a + 1, len(idxs)):
-                    unions.add(tuple(sorted(set(fa) | set(faces_j[idxs[b]]))))
-    deg_bits = 0
-    for u in sorted(unions):
-        if X.has_face(u):
-            deg_bits |= X.container(X.cochain(len(u) - 1, [u]), k + 1).bits
-    degenerate = Cochain(X, k + 1, deg_bits)
+            once = twice = 0
+            for a in iter_bits(cof & fat):
+                twice |= once & up[a]
+                once |= up[a]
+            unions |= twice
+        degenerate |= X.container(Cochain(X, j + 1, unions), k + 1)
 
     return FatProfile(X, A, eta, levels, ladders, degenerate)
 
@@ -175,7 +154,6 @@ def verify_seep(
     A: Cochain,
     eta: Fraction,
     beta: Fraction,
-    profile: FatProfile | None = None,
     cap: int | None = None,
 ) -> SeepReport:
     """Check, per level i, beta/C(k+2,i+1) * ||L(A,i)|| against
@@ -190,8 +168,7 @@ def verify_seep(
         raise BadParam(f"beta must be positive, got {beta}")
     if not is_locally_minimal(X, A, cap):
         raise PreconditionUnverified("cochain is not locally minimal")
-    if profile is None:
-        profile = fat_profile(X, A, eta)
+    profile = fat_profile(X, A, eta)
     k = A.k
     d_norm = coboundary(A).norm()
     u_norm = profile.degenerate.norm()

@@ -292,8 +292,7 @@ def test_acceptance_4_fat_machinery():
             k = rng.choice([0, 1])
             A = locally_minimize(X, random_cochain(rng, X, k)).final
             eta = rng.choice([Fraction(1, 8), Fraction(1, 3), Fraction(3, 5)])
-            prof = fat_profile(X, A, eta)
-            rep = verify_seep(X, A, eta, beta, profile=prof)
+            rep = verify_seep(X, A, eta, beta)
             assert rep.passed, (X, sorted(A.indices()), eta, rep.rows)
             eta_up = max(admissible_eta(alpha_star, k), eta)
             upo = verify_upsilon_bound(X, A, eta_up, alpha_star)

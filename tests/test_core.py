@@ -383,6 +383,7 @@ def _same_complex(A, B):
 @example(complete(6, 3))
 @example(projective_flag(2, 4))
 @example(complete_partite(2, 3))
+@example(build_complex([("a",), ("b",)]))
 def test_links_and_skeletons_equal_their_token_builds(X):
     for k in range(0, X.d):
         for sigma in X.faces(k):
@@ -393,11 +394,15 @@ def test_links_and_skeletons_equal_their_token_builds(X):
                  for top in X.faces(X.d) if set(sigma) <= set(top)]
             ))
             for j in range(-1, L.d + 1):
-                assert X._link_map(sigma, j) == [
-                    X.face_index(X.face_from_tokens(toks + L.tokens_of(lf))) for lf in L.faces(j)
-                ]
+                for i, lf in enumerate(L.faces(j)):
+                    assert X.lift(sigma, L.cochain_from_bits(j, 1 << i)).faces() == [
+                        X.face_from_tokens(toks + L.tokens_of(lf))
+                    ]
     for k in range(0, X.d + 1):
         _same_complex(X.skeleton(k), Complex.build([X.tokens_of(f) for f in X.faces(k)]))
+    assert X.max_vertex_link_size() == (
+        1 if X.d == 0 else max(X.link((v,)).total_face_count for v in range(len(X.vertex_names)))
+    )
 
 
 # -- isomorphism ------------------------------------------------------------------

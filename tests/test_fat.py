@@ -13,7 +13,7 @@ from hdx.fat import (
     verify_seep,
     verify_upsilon_bound,
 )
-from hdx.generators import complete
+from hdx.generators import complete, projective_flag
 from hdx.minimize import locally_minimize
 from hdx.spectral import skeleton_alpha
 from helpers import (
@@ -80,11 +80,20 @@ def test_localized_norm_matches_link_route():
                 assert direct == X.localize(sigma, S).norm()
 
 
+def _fat_inputs(rng, n, max_tops):
+    """n random complexes with a random k < d, then complete(6,3) and
+    projective_flag(2,4) at every k < d."""
+    for _ in range(n):
+        X = random_pure_complex(rng, dims=(2, 3), max_tops=max_tops)
+        yield X, rng.randint(0, X.d - 1)
+    for X in (complete(6, 3), projective_flag(2, 4)):
+        for k in range(X.d):
+            yield X, k
+
+
 def test_ladders_cover_top_level_and_match_oracle():
     rng = random.Random(9)
-    for _ in range(25):
-        X = random_pure_complex(rng, dims=(2, 3), max_tops=6)
-        k = rng.randint(0, X.d - 1)
+    for X, k in _fat_inputs(rng, 25, max_tops=6):
         A = random_cochain(rng, X, k)
         eta = Fraction(rng.randint(1, 9), 10)
         prof = fat_profile(X, A, eta)
@@ -105,9 +114,7 @@ def test_ladders_cover_top_level_and_match_oracle():
 
 def test_degenerate_matches_oracle():
     rng = random.Random(11)
-    for _ in range(30):
-        X = random_pure_complex(rng, dims=(2, 3), max_tops=7)
-        k = rng.randint(0, X.d - 1)
+    for X, k in _fat_inputs(rng, 30, max_tops=7):
         A = random_cochain(rng, X, k)
         eta = Fraction(rng.randint(1, 9), 10)
         prof = fat_profile(X, A, eta)
@@ -192,7 +199,7 @@ def test_verify_seep_cocycle_with_no_lower_fat_faces():
         expansion(X.link((v,)), 0, "coboundary").value
         for v in range(len(X.vertex_names))
     )
-    rep = verify_seep(X, A, eta, beta, profile=prof)
+    rep = verify_seep(X, A, eta, beta)
     assert rep.passed
     assert rep.delta_norm == 0
     assert all(r.lhs == 0 for r in rep.rows if r.i < A.k)
