@@ -320,8 +320,10 @@ def save_types(types: dict[str, int], path: str) -> None:
 
 
 def load_types(path: str) -> dict[str, int]:
-    """Parse a .types sidecar: lines of "vertex_token type_integer"."""
+    """Parse a .types sidecar: lines of "vertex_token type_integer", each
+    vertex listed once."""
     out: dict[str, int] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -330,6 +332,11 @@ def load_types(path: str) -> dict[str, int]:
         if len(parts) != 2:
             raise ParseError("expected 'vertex type' pair", lineno)
         name, value = parts
+        if name in first_line:
+            raise ParseError(
+                f"vertex {name!r} listed twice, first on line {first_line[name]}", lineno, 1
+            )
+        first_line[name] = lineno
         try:
             out[name] = int(value)
         except ValueError:

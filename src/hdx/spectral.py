@@ -2,8 +2,15 @@
 
 A complex is regular when its vertices split into d+1 types with every top
 face containing one vertex per type and constant face-extension counts
-between type sets. For each pair of types the induced bipartite graph is
-biregular; its normalized second eigenvalue comes from LAPACK (`eigh`),
+between type sets. Without a given typing, a greedy sweep over the top faces
+infers one; each top face keeps its typed-vertex count and used-type bitmask,
+so a sweep visits only the faces a new typing left with a clash or a single
+untyped vertex, and the whole inference is linear in the top faces up to a
+heap's logarithm. The extension counts come from int64 face arrays with one
+type mask per face: every (face, subface) pair is located by searchsorted and
+counted by one bincount, and one comparison checks every pair of type sets.
+For each pair of types the induced bipartite graph, built from the edge array,
+is biregular; its normalized second eigenvalue comes from LAPACK (`eigh`),
 certified by the reconstruction residual, and the maximum over pairs
 certifies one-sided mixing for all vertex-set pairs, hence skeleton expansion.
 Both subset scans read one exact table of integer top counts per subset:
@@ -20,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -48,42 +56,80 @@ class RegularStructure:
         return tuple(v for v in sorted(self.types) if self.types[v] == t)
 
 
+def _face_array(X: Complex, k: int) -> np.ndarray:
+    """The k-faces of X (k >= 0) as the rows of an int64 array, in canonical order."""
+    flat = chain.from_iterable(X.faces(k))
+    return np.fromiter(flat, np.int64, X.n_faces(k) * (k + 1)).reshape(-1, k + 1)
+
+
 def _infer_types(X: Complex) -> dict[int, int]:
     """Greedy (d+1)-coloring driven by top-face constraints.
 
-    Forced assignments propagate first; when nothing is forced, the
-    canonically first untyped vertex of the canonically first incomplete top
-    face receives the smallest type unused in that face. No backtracking.
+    Sweeps visit the top faces in canonical order. A visited face whose typed
+    vertices share a type raises NoValidTyping; one with a single untyped
+    vertex gives it the smallest type unused in the face. After a sweep that
+    typed nothing, the canonically first untyped vertex of the canonically
+    first incomplete top face gets the smallest type unused in that face, and
+    a new sweep starts. No backtracking.
+
+    Each top face keeps its typed-vertex count and used-type bitmask, and a
+    sweep visits only the faces that a typing since their last visit left
+    with a clash or a single untyped vertex; a visit to any other face does
+    nothing. Typing a vertex queues such a face in this sweep if it comes
+    later, else in the next sweep.
     """
     d = X.d
     tops = X.faces(d)
+    star: list[list[int]] = [[] for _ in X.vertex_names]
+    for i, top in enumerate(tops):
+        for v in top:
+            star[v].append(i)
+    count = [0] * len(tops)  # typed vertices of each top face
+    used = [0] * len(tops)  # bitmask of their types
     types: dict[int, int] = {}
+    # this sweep's visits as a heap (a sorted list is one); at d = 0 every top
+    # face has a single untyped vertex from the start
+    now = list(range(len(tops))) if d == 0 else []
+    later: set[int] = set()  # the next sweep's visits
+
+    def give(i: int, at: int) -> None:
+        """Type the first untyped vertex of top face i, during the visit of
+        face at (-1 between sweeps)."""
+        v = next(u for u in tops[i] if u not in types)
+        bit = ~used[i] & (used[i] + 1)  # the lowest type unused in face i
+        types[v] = bit.bit_length() - 1
+        for f in star[v]:
+            count[f] += 1
+            # a visit does something only to a face with a clash or a single
+            # untyped vertex
+            if count[f] == d or used[f] & bit:
+                if f > at:
+                    heappush(now, f)
+                elif f < at:
+                    later.add(f)
+            used[f] |= bit
+
+    first = 0  # every top face before it is complete
     while True:
-        progress = False
-        for top in tops:
-            assigned = [(v, types[v]) for v in top if v in types]
-            used = [t for _, t in assigned]
-            if len(set(used)) != len(used):
-                u, v = _clash(top, types)
+        while now:
+            i = heappop(now)
+            if used[i].bit_count() != count[i]:
+                u, v = _clash(tops[i], types)
                 raise NoValidTyping(
                     f"vertices {X.vertex_names[u]} and {X.vertex_names[v]} share a "
                     f"top face but were forced to the same type"
                 )
-            missing = [v for v in top if v not in types]
-            if len(missing) == 1:
-                types[missing[0]] = min(set(range(d + 1)) - set(used))
-                progress = True
-        if progress:
+            if count[i] == d:
+                give(i, i)
+        if later:
+            now.extend(sorted(later))
+            later.clear()
             continue
-        for top in tops:
-            missing = [v for v in top if v not in types]
-            if missing:
-                used = {types[v] for v in top if v in types}
-                types[missing[0]] = min(set(range(d + 1)) - used)
-                progress = True
-                break
-        if not progress:
+        while first < len(tops) and count[first] > d:
+            first += 1
+        if first == len(tops):
             return types
+        give(first, -1)
 
 
 def _clash(top: Face, types: dict[int, int]) -> tuple[int, int]:
@@ -96,9 +142,32 @@ def _clash(top: Face, types: dict[int, int]) -> tuple[int, int]:
     raise AssertionError("no clash found")
 
 
+def _packed(J: np.ndarray, I: np.ndarray, d: int) -> np.ndarray:
+    """The bits of each type mask J outside I, moved down over the bits of I:
+    for J containing I, the rank of J among the 2^(d+1-|I|) type sets above I."""
+    out = np.zeros_like(J)
+    pos = np.zeros_like(J)
+    for t in range(d + 1):
+        free = ~I >> t & 1
+        out |= (J >> t & free) << pos
+        pos += free
+    return out
+
+
 def regularity(X: Complex, types: dict[str, int] | None = None) -> RegularStructure:
-    """Verify regularity exhaustively, inferring a typing if none is given."""
+    """Verify regularity exhaustively, inferring a typing if none is given.
+
+    table[(I, J)] is the number of J-typed faces through each I-typed face.
+    The faces of each dimension are int64 arrays with one type mask per face.
+    A subface is a subset of a face's sorted columns, so it is sorted too, and
+    its index comes from searchsorted on the keys index(prefix) * n + last
+    vertex, which ascend in canonical order. Each face owns one counter per
+    type set J above its own, and one bincount over every (face, subface) pair
+    fills them all. One comparison of every counter with the same counter of
+    the first face of its type set then checks every pair (I, J).
+    """
     d = X.d
+    n = len(X.vertex_names)
     if types is None:
         vtypes = _infer_types(X)
     else:
@@ -106,49 +175,81 @@ def regularity(X: Complex, types: dict[str, int] | None = None) -> RegularStruct
         for name, t in types.items():
             ids = X.vertex_ids([name])
             vtypes[ids.pop()] = int(t)
-    if set(vtypes) != set(range(len(X.vertex_names))):
+    if set(vtypes) != set(range(n)):
         raise NoValidTyping("typing does not cover every vertex")
     if not all(0 <= t <= d for t in vtypes.values()):
         raise NoValidTyping(f"types must lie in 0..{d}")
 
-    for top in X.faces(d):
-        if sorted(vtypes[v] for v in top) != list(range(d + 1)):
-            raise NoValidTyping(
-                f"top face {X.tokens_of(top)} does not carry one vertex of each type"
-            )
+    type_of = np.zeros(n, dtype=np.int64)
+    type_of[list(vtypes)] = list(vtypes.values())
+    faces = [_face_array(X, k) for k in range(d + 1)]
+    masks = [np.zeros(1, dtype=np.int64)] + [(1 << type_of[F]).sum(axis=1) for F in faces]
+    full = (1 << (d + 1)) - 1
+    wrong = np.flatnonzero(masks[-1] != full)
+    if wrong.size:
+        raise NoValidTyping(
+            f"top face {X.tokens_of(X.faces(d)[wrong[0]])} does not carry one vertex of each type"
+        )
 
-    # counter[(sigma, J)] = number of J-typed faces containing sigma
-    faces_by_typeset: dict[frozenset, list[Face]] = {}
-    counter: dict[tuple[Face, frozenset], int] = {}
-    for k in range(-1, d + 1):
-        for tau in X.faces(k):
-            J = frozenset(vtypes[v] for v in tau)
-            faces_by_typeset.setdefault(J, []).append(tau)
-            for size in range(0, k + 2):
-                for sigma in combinations(tau, size):
-                    key = (sigma, J)
-                    counter[key] = counter.get(key, 0) + 1
+    # start[k + 1] is the global index of the first k-face
+    start = np.cumsum([0] + [X.n_faces(k) for k in range(-1, d + 1)]).tolist()
+    # (global index of a subface, type mask of the face), for every face and
+    # subface; the (-1)-face is its own subface
+    sub, sup = [np.zeros(1, dtype=np.int64)], [masks[0]]
+    keys: dict[int, np.ndarray] = {}
+    for k, (F, M) in enumerate(zip(faces, masks[1:])):
+        sub.append(np.zeros(len(F), dtype=np.int64))  # the empty subface
+        sup.append(M)
+        index = {(): None}  # column subset -> index of that subface in its dimension
+        for size in range(1, k + 2):
+            for cols in combinations(range(k + 1), size):
+                prefix, last = index[cols[:-1]], F[:, cols[-1]]
+                if size == 1:
+                    at = last
+                elif size == k + 1:
+                    keys[k] = prefix * n + last
+                    at = np.arange(len(F))
+                else:
+                    at = np.searchsorted(keys[size - 1], prefix * n + last)
+                index[cols] = at
+                sub.append(start[size] + at)
+                sup.append(M)
 
+    # a face g has one slot per type set J above its own, 2^(d+1-|g|) in all;
+    # C[slot[g] + _packed(J, mask(g))] counts the J-typed faces through g
+    mask_of = np.concatenate(masks)
+    width = np.concatenate([np.full(n_k, 1 << (d - k)) for k, n_k in
+                            zip(range(-1, d + 1), np.diff(start).tolist())])
+    slot = np.cumsum(width) - width
+    g = np.concatenate(sub)
+    C = np.bincount(slot[g] + _packed(np.concatenate(sup), mask_of[g], d), minlength=int(width.sum()))
+    # each slot against the same slot of the first face of its type set (every
+    # type set has faces: those of any top face)
+    _, first_of = np.unique(mask_of, return_index=True)
+    owner = np.repeat(np.arange(len(mask_of)), width)
+    rank = np.arange(len(C)) - slot[owner]
+    differ = np.flatnonzero(C != C[slot[first_of[mask_of[owner]]] + rank])
+    bad = np.zeros((full + 1, full + 1), dtype=bool)  # bad[mask(I), _packed(J, I)]
+    bad[mask_of[owner[differ]], rank[differ]] = True
+
+    type_sets = [T for size in range(d + 2) for T in combinations(range(d + 1), size)]
+    bits = {T: sum(1 << t for t in T) for T in type_sets}
+    pairs = [(I, J) for J in type_sets for size in range(len(J) + 1) for I in combinations(J, size)]
+    im = np.array([bits[I] for I, _ in pairs])
+    r = _packed(np.array([bits[J] for _, J in pairs]), im, d)
+    as_key = {T: frozenset(T) for T in type_sets}
     table: dict[tuple[frozenset, frozenset], int] = {}
-    all_types = list(range(d + 1))
-    for jsize in range(0, d + 2):
-        for J in map(frozenset, combinations(all_types, jsize)):
-            for isize in range(0, jsize + 1):
-                for I in map(frozenset, combinations(sorted(J), isize)):
-                    ifaces = faces_by_typeset.get(I, [])
-                    if not ifaces:
-                        continue
-                    counts = [counter.get((s, J), 0) for s in ifaces]
-                    if len(set(counts)) > 1:
-                        bad = next(
-                            s for s, c in zip(ifaces, counts) if c != counts[0]
-                        )
-                        raise NotRegular(I, J, X.tokens_of(bad), counts)
-                    table[(I, J)] = counts[0]
+    values = zip(pairs, C[slot[first_of[im]] + r].tolist(), bad[im, r].tolist(), r.tolist())
+    for (I, J), count, broken, j_rank in values:
+        if broken:
+            at = np.flatnonzero(mask_of == bits[I])
+            seen = C[slot[at] + j_rank].tolist()
+            p = next(p for p, c in enumerate(seen) if c != seen[0])
+            face = X.faces(len(I) - 1)[at[p] - start[len(I)]]
+            raise NotRegular(I, J, X.tokens_of(face), seen)
+        table[(as_key[I], as_key[J])] = count
 
-    sizes = [0] * (d + 1)
-    for v, t in vtypes.items():
-        sizes[t] += 1
+    sizes = np.bincount(type_of, minlength=d + 1).tolist()
     return RegularStructure(X, vtypes, tuple(sizes), table)
 
 
@@ -168,39 +269,45 @@ class BipartiteTypeGraph:
 
 
 def type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> BipartiteTypeGraph:
+    """The bipartite graph of the edges between types i and j, its degrees, and
+    whether it is connected (by BFS over adjacency lists)."""
     if i == j:
         raise BadDimension("type pair must be distinct")
     if i > j:
         i, j = j, i
-    left = R.vertices_of_type(i)
-    right = R.vertices_of_type(j)
-    pos = {v: p for p, v in enumerate(left)}
-    pos.update({v: len(left) + p for p, v in enumerate(right)})
-    n = len(left) + len(right)
+    edges = _face_array(X, 1)
+    bit = np.zeros(len(X.vertex_names), dtype=np.int64)
+    bit[list(R.types)] = [1 << t for t in R.types.values()]
+    left = np.flatnonzero(bit == 1 << i)
+    right = np.flatnonzero(bit == 1 << j)
+    nl, n = len(left), len(left) + len(right)
+    pos = np.zeros(len(bit), dtype=np.int64)
+    pos[left] = np.arange(nl)
+    pos[right] = np.arange(nl, n)
+    u, v = pos[edges[(bit[edges[:, 0]] | bit[edges[:, 1]]) == (1 << i | 1 << j)]].T
     a = np.zeros((n, n))
-    for (u, v) in X.faces(1):
-        tu, tv = R.types[u], R.types[v]
-        if {tu, tv} == {i, j}:
-            a[pos[u], pos[v]] = 1.0
-            a[pos[v], pos[u]] = 1.0
-    degrees = a.sum(axis=1)
-    left_deg = {int(degrees[pos[v]]) for v in left}
-    right_deg = {int(degrees[pos[v]]) for v in right}
+    a[u, v] = 1.0
+    a[v, u] = 1.0
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for x, y in zip(u.tolist(), v.tolist()):
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    left_deg = {len(nbrs[x]) for x in range(nl)}
+    right_deg = {len(nbrs[x]) for x in range(nl, n)}
     if len(left_deg) != 1 or len(right_deg) != 1:
         raise NotBiregular(
             f"type pair ({i},{j}) has degree sets {sorted(left_deg)} / {sorted(right_deg)}"
         )
-    # BFS connectivity
-    seen = {0}
+    seen = [True] + [False] * (n - 1)
     queue = [0]
-    while queue:
-        u = queue.pop()
-        for w in np.flatnonzero(a[u]):
-            if int(w) not in seen:
-                seen.add(int(w))
-                queue.append(int(w))
+    for x in queue:  # BFS
+        for w in nbrs[x]:
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
     return BipartiteTypeGraph(
-        i, j, left, right, a, left_deg.pop(), right_deg.pop(), len(seen) == n
+        i, j, tuple(left.tolist()), tuple(right.tolist()), a,
+        left_deg.pop(), right_deg.pop(), len(queue) == n,
     )
 
 

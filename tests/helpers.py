@@ -16,9 +16,17 @@ import numpy as np
 
 from hdx.caps import check_enumeration
 from hdx.cohomology import space_basis
-from hdx.core import Cochain, Complex, build_complex
+from hdx.core import Cochain, Complex, Face, build_complex
+from hdx.errors import BadDimension, NotBiregular, NotRegular, NoValidTyping
 from hdx.f2 import iter_bits
-from hdx.spectral import MIXING_SLACK, MixingScan, _mixing_margin, _subset_tops
+from hdx.spectral import (
+    MIXING_SLACK,
+    BipartiteTypeGraph,
+    MixingScan,
+    RegularStructure,
+    _mixing_margin,
+    _subset_tops,
+)
 
 # -- random instances --------------------------------------------------------
 
@@ -301,6 +309,154 @@ def oracle_is_locally_minimal(X: Complex, A: Cochain, cap: int | None = None) ->
         if loc and not is_minimal(X.link(sigma), loc, cap):
             return False
     return True
+
+
+# -- regular-structure oracles: the dict-counting implementations ---------------
+
+
+def oracle_infer_types(X: Complex) -> dict[int, int]:
+    """Greedy (d+1)-coloring driven by top-face constraints.
+
+    Forced assignments propagate first; when nothing is forced, the
+    canonically first untyped vertex of the canonically first incomplete top
+    face receives the smallest type unused in that face. No backtracking.
+    Every sweep visits every top face and counts its types in lists.
+    """
+    d = X.d
+    tops = X.faces(d)
+    types: dict[int, int] = {}
+    while True:
+        progress = False
+        for top in tops:
+            assigned = [(v, types[v]) for v in top if v in types]
+            used = [t for _, t in assigned]
+            if len(set(used)) != len(used):
+                u, v = _oracle_clash(top, types)
+                raise NoValidTyping(
+                    f"vertices {X.vertex_names[u]} and {X.vertex_names[v]} share a "
+                    f"top face but were forced to the same type"
+                )
+            missing = [v for v in top if v not in types]
+            if len(missing) == 1:
+                types[missing[0]] = min(set(range(d + 1)) - set(used))
+                progress = True
+        if progress:
+            continue
+        for top in tops:
+            missing = [v for v in top if v not in types]
+            if missing:
+                used = {types[v] for v in top if v in types}
+                types[missing[0]] = min(set(range(d + 1)) - used)
+                progress = True
+                break
+        if not progress:
+            return types
+
+
+def _oracle_clash(top: Face, types: dict[int, int]) -> tuple[int, int]:
+    seen: dict[int, int] = {}
+    for v in top:
+        if v in types:
+            if types[v] in seen:
+                return seen[types[v]], v
+            seen[types[v]] = v
+    raise AssertionError("no clash found")
+
+
+def oracle_regularity(X: Complex, types: dict[str, int] | None = None) -> RegularStructure:
+    """regularity by dict counting: every subset of every face is counted
+    under the type set of the face."""
+    d = X.d
+    if types is None:
+        vtypes = oracle_infer_types(X)
+    else:
+        vtypes = {}
+        for name, t in types.items():
+            ids = X.vertex_ids([name])
+            vtypes[ids.pop()] = int(t)
+    if set(vtypes) != set(range(len(X.vertex_names))):
+        raise NoValidTyping("typing does not cover every vertex")
+    if not all(0 <= t <= d for t in vtypes.values()):
+        raise NoValidTyping(f"types must lie in 0..{d}")
+
+    for top in X.faces(d):
+        if sorted(vtypes[v] for v in top) != list(range(d + 1)):
+            raise NoValidTyping(
+                f"top face {X.tokens_of(top)} does not carry one vertex of each type"
+            )
+
+    # counter[(sigma, J)] = number of J-typed faces containing sigma
+    faces_by_typeset: dict[frozenset, list[Face]] = {}
+    counter: dict[tuple[Face, frozenset], int] = {}
+    for k in range(-1, d + 1):
+        for tau in X.faces(k):
+            J = frozenset(vtypes[v] for v in tau)
+            faces_by_typeset.setdefault(J, []).append(tau)
+            for size in range(0, k + 2):
+                for sigma in combinations(tau, size):
+                    key = (sigma, J)
+                    counter[key] = counter.get(key, 0) + 1
+
+    table: dict[tuple[frozenset, frozenset], int] = {}
+    all_types = list(range(d + 1))
+    for jsize in range(0, d + 2):
+        for J in map(frozenset, combinations(all_types, jsize)):
+            for isize in range(0, jsize + 1):
+                for I in map(frozenset, combinations(sorted(J), isize)):
+                    ifaces = faces_by_typeset.get(I, [])
+                    if not ifaces:
+                        continue
+                    counts = [counter.get((s, J), 0) for s in ifaces]
+                    if len(set(counts)) > 1:
+                        bad = next(
+                            s for s, c in zip(ifaces, counts) if c != counts[0]
+                        )
+                        raise NotRegular(I, J, X.tokens_of(bad), counts)
+                    table[(I, J)] = counts[0]
+
+    sizes = [0] * (d + 1)
+    for v, t in vtypes.items():
+        sizes[t] += 1
+    return RegularStructure(X, vtypes, tuple(sizes), table)
+
+
+def oracle_type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> BipartiteTypeGraph:
+    """type_graph from a dense matrix: entries set edge by edge, degrees as
+    row sums, connectivity by a search over matrix rows."""
+    if i == j:
+        raise BadDimension("type pair must be distinct")
+    if i > j:
+        i, j = j, i
+    left = R.vertices_of_type(i)
+    right = R.vertices_of_type(j)
+    pos = {v: p for p, v in enumerate(left)}
+    pos.update({v: len(left) + p for p, v in enumerate(right)})
+    n = len(left) + len(right)
+    a = np.zeros((n, n))
+    for (u, v) in X.faces(1):
+        tu, tv = R.types[u], R.types[v]
+        if {tu, tv} == {i, j}:
+            a[pos[u], pos[v]] = 1.0
+            a[pos[v], pos[u]] = 1.0
+    degrees = a.sum(axis=1)
+    left_deg = {int(degrees[pos[v]]) for v in left}
+    right_deg = {int(degrees[pos[v]]) for v in right}
+    if len(left_deg) != 1 or len(right_deg) != 1:
+        raise NotBiregular(
+            f"type pair ({i},{j}) has degree sets {sorted(left_deg)} / {sorted(right_deg)}"
+        )
+    # BFS connectivity
+    seen = {0}
+    queue = [0]
+    while queue:
+        u = queue.pop()
+        for w in np.flatnonzero(a[u]):
+            if int(w) not in seen:
+                seen.add(int(w))
+                queue.append(int(w))
+    return BipartiteTypeGraph(
+        i, j, left, right, a, left_deg.pop(), right_deg.pop(), len(seen) == n
+    )
 
 
 def oracle_skeleton_alpha(X: Complex):

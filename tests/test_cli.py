@@ -210,6 +210,22 @@ def test_io_errors_are_one_line(tmp_path, capsys, case):
     assert culprit in captured.err
 
 
+def test_vertex_typed_twice_is_one_line(tmp_path, capsys):
+    cx = os.path.join(tmp_path, "c4.cx")
+    ty = os.path.join(tmp_path, "c4.types")
+    with open(cx, "w") as fh:
+        fh.write("a b\nb c\nc d\nd a\n")
+    with open(ty, "w") as fh:
+        fh.write("a 0\nb 1\n# comment\nc 0\nd 1\nb 0\n")
+    code = main(["spectrum", cx, "--types", ty])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "hdx: error: vertex 'b' listed twice, first on line 2 (line 6, column 1)\n"
+    )
+
+
 def test_tsv_format(tmp_path, capsys):
     cx = os.path.join(tmp_path, "c5.cx")
     run_cli(capsys, "generate", "--kind", "cycle", "--n", "5", "--out", cx)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 from fractions import Fraction
 from itertools import combinations
@@ -18,10 +19,12 @@ from hdx.generators import (
     linial_meshulam,
     load_complex,
     load_types,
+    natural_types,
     projective_flag,
     save_complex,
     save_types,
 )
+from hdx.spectral import lambda_max, regularity
 
 
 def gaussian_binomial(n, k, q):
@@ -103,6 +106,31 @@ def test_projective_flag_solomon_tits(q, n):
     assert [cohomology_dim(X, k) for k in range(-1, n - 1)] == [0] * (n - 1) + [
         q ** (n * (n - 1) // 2)
     ]
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_projective_flag_regularity_closed_forms(q, n):
+    # type t holds the subspaces of dimension t + 1: there are [n, a]_q of
+    # dimension a, and one of dimension a lies in [n - a, b - a]_q of dimension
+    # b > a and contains [a, b]_q of dimension b < a
+    X = projective_flag(q, n)
+    R = regularity(X, natural_types("projective_flag", X))
+    assert R.part_sizes == tuple(gaussian_binomial(n, a, q) for a in range(1, n))
+    for a in range(1, n):
+        for b in range(1, n):
+            if a != b:
+                incident = gaussian_binomial(n - a, b - a, q) if b > a else gaussian_binomial(a, b, q)
+                assert R.table[(frozenset({a - 1}), frozenset({a - 1, b - 1}))] == incident
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_projective_plane_feit_higman(q):
+    # the incidence graph of PG(2, q) has eigenvalues +-(q + 1) and +-sqrt(q),
+    # so its normalized second eigenvalue is sqrt(q) / (q + 1); a float check,
+    # the exact certificate needs an exact eigenvalue bound
+    X = projective_flag(q, 3)
+    lam, _ = lambda_max(X, regularity(X))
+    assert abs(lam - math.sqrt(q) / (q + 1)) <= 1e-12
 
 
 def test_projective_flag_heawood_shape():
@@ -251,6 +279,11 @@ def test_types_roundtrip(tmp_path):
         fh.write("a zero\n")
     with pytest.raises(ParseError):
         load_types(p)
+    with open(p, "w") as fh:
+        fh.write("a 0\nb 1\na 0\n")
+    with pytest.raises(ParseError, match="'a' listed twice") as info:
+        load_types(p)
+    assert info.value.line == 3 and info.value.column == 1
 
 
 def test_generators_emit_valid_complexes():

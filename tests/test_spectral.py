@@ -5,22 +5,34 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hdx.spectral
 from hdx.core import build_complex
-from hdx.errors import BadDimension, BadParam, NotBiregular, NotRegular, NoValidTyping, TooLarge
+from hdx.errors import (
+    BadDimension,
+    BadParam,
+    EmptyInput,
+    HdxError,
+    NotBiregular,
+    NotRegular,
+    NoValidTyping,
+    TooLarge,
+)
 from hdx.generators import (
     complete,
     complete_partite,
     complete_partite_types,
     cycle,
+    linial_meshulam,
     projective_flag,
     projective_flag_types,
 )
 from hdx.spectral import (
+    RegularStructure,
     lambda2,
     lambda_max,
     mixing_check,
@@ -29,7 +41,13 @@ from hdx.spectral import (
     skeleton_alpha,
     type_graph,
 )
-from helpers import oracle_mixing_scan, oracle_skeleton_alpha, random_pure_complex
+from helpers import (
+    oracle_mixing_scan,
+    oracle_regularity,
+    oracle_skeleton_alpha,
+    oracle_type_graph,
+    random_pure_complex,
+)
 
 
 def kab(a, b):
@@ -418,3 +436,105 @@ def test_skeleton_alpha_memory_is_one_block():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert int(out.stdout) < 100 * 1024  # KiB
+
+
+def _typing_instances():
+    """Seeded complexes, each with None (inferred) and explicit typings.
+
+    Random subcomplexes of complete_partite(d, m) get their natural typing under
+    a random relabelling of the parts, so most are typed validly and many are
+    not regular; complete(n, d) subcomplexes and linial_meshulam complexes get
+    random types, which usually fail the top-face check. At d = 4 inference
+    often meets a clash in a face with several untyped vertices. Two typings
+    fail the range and cover checks."""
+    rng = random.Random(20)
+    for _ in range(70):
+        d = rng.randint(0, 3)
+        m = rng.randint(1, 3)
+        full = complete_partite(d, m)
+        tops = rng.sample(full.faces(d), rng.randint(1, full.n_top))
+        X = build_complex([full.tokens_of(t) for t in tops])
+        perm = list(range(d + 1))
+        rng.shuffle(perm)
+        yield X, None
+        yield X, {name: perm[int(name.split(":")[0])] for name in X.vertex_names}
+    for _ in range(60):
+        d = rng.randint(0, 4)
+        n = rng.randint(d + 1, 8)
+        full = complete(n, d)
+        tops = rng.sample(full.faces(d), rng.randint(1, min(full.n_top, 12)))
+        X = build_complex([full.tokens_of(t) for t in tops])
+        yield X, None
+        yield X, {name: rng.randint(0, d) for name in X.vertex_names}
+    for seed in range(30):
+        d = 1 + seed % 3
+        try:
+            X = linial_meshulam(rng.randint(d + 2, 8), d, Fraction(rng.randint(1, 3), 4), seed).complex
+        except EmptyInput:
+            continue
+        yield X, None
+        yield X, {name: rng.randint(0, d) for name in X.vertex_names}
+    # inference types two vertices of one face alike while the face still has
+    # two untyped vertices; the sweep must visit that face at once
+    yield build_complex(["01236", "01247", "01467", "02356", "02457", "12347", "13467",
+                         "14567", "23457"]), None
+    X = complete_partite(2, 2)
+    yield X, {name: 3 for name in X.vertex_names}
+    yield X, {name: 0 for name in X.vertex_names[1:]}
+    for X in (projective_flag(2, 3), projective_flag(2, 4), complete(6, 3), cycle(7), cycle(8)):
+        yield X, None
+
+
+def _outcome(f, *args):
+    """f(*args), or the exception it raises with every field the CLI reports."""
+    try:
+        return "ok", f(*args)
+    except HdxError as exc:
+        fields = [getattr(exc, a, None) for a in ("i_types", "j_types", "face_tokens", "counts")]
+        return "raised", (type(exc), str(exc), fields)
+
+
+def _graph_fields(G):
+    return (G.i, G.j, G.left, G.right, G.matrix.dtype, G.left_degree, G.right_degree,
+            G.connected)
+
+
+def test_regularity_matches_oracle():
+    regular = non_regular = 0
+    for X, types in _typing_instances():
+        got, want = _outcome(regularity, X, types), _outcome(oracle_regularity, X, types)
+        if want[0] == "raised":
+            assert got == want, (X, types)
+            non_regular += 1
+        else:
+            assert got[0] == "ok", (X, types, got)
+            R, O = got[1], want[1]
+            assert list(R.types.items()) == list(O.types.items())
+            assert R.part_sizes == O.part_sizes
+            assert list(R.table.items()) == list(O.table.items())
+            regular += 1
+        if X.d < 1:
+            continue
+        # type graphs of the regular structure, or of any complete in-range typing
+        if got[0] == "ok":
+            R = got[1]
+        elif types and set(types) == set(X.vertex_names) and max(types.values()) <= X.d:
+            vtypes = {X.vertex_ids([name]).pop(): t for name, t in types.items()}
+            R = RegularStructure(X, vtypes, (), {})
+        else:
+            continue
+        for i in range(X.d + 1):
+            for j in range(X.d + 1):
+                if i == j:
+                    continue
+                got_g = _outcome(type_graph, X, R, i, j)
+                want_g = _outcome(oracle_type_graph, X, R, i, j)
+                assert got_g[0] == want_g[0], (X, R.types, i, j)
+                if got_g[0] == "raised":
+                    assert got_g == want_g
+                    continue
+                G, H = got_g[1], want_g[1]
+                assert _graph_fields(G) == _graph_fields(H)
+                assert np.array_equal(G.matrix, H.matrix) and G.matrix.dtype == np.float64
+    # the corpus reaches both outcomes often
+    assert regular > 50 and non_regular > 50, (regular, non_regular)
