@@ -9,10 +9,11 @@ untyped vertex, and the whole inference is linear in the top faces up to a
 heap's logarithm. The extension counts come from int64 face arrays with one
 type mask per face: every (face, subface) pair is located by searchsorted and
 counted by one bincount, and one comparison checks every pair of type sets.
-For each pair of types the induced bipartite graph, built from the edge array,
-is biregular; its normalized second eigenvalue comes from LAPACK (`eigh`),
-certified by the reconstruction residual, and the maximum over pairs
-certifies one-sided mixing for all vertex-set pairs, hence skeleton expansion.
+For each pair of types the induced bipartite graph is one biadjacency matrix,
+built from the edge array, and is biregular; its normalized second eigenvalue
+is a singular value of that matrix from one LAPACK SVD, certified by the
+reconstruction residual, and the maximum over pairs certifies one-sided mixing
+for all vertex-set pairs, hence skeleton expansion.
 Both subset scans read one exact table of integer top counts per subset:
 skeleton-expansion constants are exact rationals, and a mixing margin rounds
 only in its eigenvalue term, so exact ties never fail. The exhaustive mixing
@@ -262,52 +263,51 @@ class BipartiteTypeGraph:
     j: int
     left: tuple[int, ...]  # vertex ids of type i
     right: tuple[int, ...]
-    matrix: np.ndarray  # adjacency, left block then right block
+    biadjacency: np.ndarray  # float64, a row per left and a column per right vertex
     left_degree: int
     right_degree: int
     connected: bool
 
 
 def type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> BipartiteTypeGraph:
-    """The bipartite graph of the edges between types i and j, its degrees, and
-    whether it is connected (by BFS over adjacency lists)."""
+    """The bipartite graph of the edges between types i and j as its biadjacency
+    matrix, its degrees (the row and column sums), and whether it is connected:
+    a biregular graph is when a frontier walk over the matrix in booleans from
+    left vertex 0 reaches every right vertex."""
     if i == j:
         raise BadDimension("type pair must be distinct")
+    if not (0 <= i <= X.d and 0 <= j <= X.d):
+        raise BadDimension(f"types must lie in 0..{X.d}, got ({i},{j})")
     if i > j:
         i, j = j, i
-    edges = _face_array(X, 1)
+    u, v = _face_array(X, 1).T
     bit = np.zeros(len(X.vertex_names), dtype=np.int64)
     bit[list(R.types)] = [1 << t for t in R.types.values()]
-    left = np.flatnonzero(bit == 1 << i)
-    right = np.flatnonzero(bit == 1 << j)
-    nl, n = len(left), len(left) + len(right)
+    left = (bit == 1 << i).nonzero()[0]
+    right = (bit == 1 << j).nonzero()[0]
+    nl, nr = len(left), len(right)
+    # the flat index of a matrix entry is the row part of its left end plus the
+    # column part of its right end
     pos = np.zeros(len(bit), dtype=np.int64)
-    pos[left] = np.arange(nl)
-    pos[right] = np.arange(nl, n)
-    u, v = pos[edges[(bit[edges[:, 0]] | bit[edges[:, 1]]) == (1 << i | 1 << j)]].T
-    a = np.zeros((n, n))
-    a[u, v] = 1.0
-    a[v, u] = 1.0
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for x, y in zip(u.tolist(), v.tolist()):
-        nbrs[x].append(y)
-        nbrs[y].append(x)
-    left_deg = {len(nbrs[x]) for x in range(nl)}
-    right_deg = {len(nbrs[x]) for x in range(nl, n)}
+    pos[left] = np.arange(nl) * nr
+    pos[right] = np.arange(nr)
+    adj = np.zeros(nl * nr, dtype=bool)
+    adj[(pos[u] + pos[v])[(bit[u] | bit[v]) == (1 << i | 1 << j)]] = True
+    adj = adj.reshape(nl, nr)
+    left_deg = set(adj.sum(1).tolist())
+    right_deg = set(adj.sum(0).tolist())
     if len(left_deg) != 1 or len(right_deg) != 1:
         raise NotBiregular(
             f"type pair ({i},{j}) has degree sets {sorted(left_deg)} / {sorted(right_deg)}"
         )
-    seen = [True] + [False] * (n - 1)
-    queue = [0]
-    for x in queue:  # BFS
-        for w in nbrs[x]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
+    reach = adj[0]  # the right vertices reached from left vertex 0
+    size, last = np.count_nonzero(reach), -1
+    while last < size < nr:
+        reach = (adj @ reach) @ adj
+        size, last = np.count_nonzero(reach), size
     return BipartiteTypeGraph(
-        i, j, tuple(left.tolist()), tuple(right.tolist()), a,
-        left_deg.pop(), right_deg.pop(), len(queue) == n,
+        i, j, tuple(left.tolist()), tuple(right.tolist()), adj.astype(float),
+        left_deg.pop(), right_deg.pop(), bool(size == nr),
     )
 
 
@@ -315,7 +315,7 @@ def type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> BipartiteType
 class SpectralReport:
     pair: tuple[int, int]
     lambda1: float
-    lambda2_normalized: float  # max(second/lambda1, 0)
+    lambda2_normalized: float  # second/lambda1
     residual: float
     degrees: tuple[int, int]
     connected: bool
@@ -326,18 +326,21 @@ class SpectralReport:
 
 
 def lambda2(G: BipartiteTypeGraph) -> SpectralReport:
-    """Normalized second largest adjacency eigenvalue of a type graph."""
-    vals, vecs = np.linalg.eigh(G.matrix)
-    residual = float(np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - G.matrix))
-    lam1 = float(vals[-1])
-    second = float(vals[-2])
-    # a bipartite spectrum is symmetric; clamping at zero keeps the
-    # normalized value in [0,1] even when only the trivial pair remains
-    normalized = max(second / lam1, 0.0)
+    """Normalized second largest adjacency eigenvalue of a type graph.
+
+    The adjacency eigenvalues of a bipartite graph are plus and minus the
+    singular values s of its biadjacency matrix B, and zeros, so the largest
+    is s[0] and the second s[1] (0 when a side has one vertex). One thin SVD
+    gives them, certified by the reconstruction residual ||U diag(s) V^T - B||.
+    """
+    u, s, vt = np.linalg.svd(G.biadjacency, full_matrices=False)
+    residual = float(np.linalg.norm((u * s) @ vt - G.biadjacency))
+    lam1 = float(s[0])
+    second = float(s[1]) if len(s) > 1 else 0.0
     return SpectralReport(
         (G.i, G.j),
         lam1,
-        normalized,
+        second / lam1,
         residual,
         (G.left_degree, G.right_degree),
         G.connected,
@@ -360,44 +363,43 @@ def lambda_max(
 # -- mixing and skeleton expansion --------------------------------------------
 
 
-def _subset_sums(w) -> np.ndarray:
-    """out[m] = sum of w[i] over the set bits i of m, as int64."""
-    out = np.zeros(1 << len(w), dtype=np.int64)
+def _subset_sums(w: np.ndarray) -> np.ndarray:
+    """out[m] = sum of the rows w[i] over the set bits i of m, as int64."""
+    out = np.zeros((1 << len(w),) + w.shape[1:], dtype=np.int64)
     for i, x in enumerate(w):
         out[1 << i : 2 << i] = out[: 1 << i] + x
     return out
 
 
-def _subset_blocks(X: Complex, k: int):
-    """Yield (lo, vtop, inner) for the blocks lo .. lo + 2^k - 1 of vertex
-    subsets in ascending order: the exact top counts of each subset and of
-    its inner edges. A subset is its low bits l plus the high vertices H of
-    lo, so inner = inner_low[l] + edges(H, l) + inner[H]; the low tables are
-    built once and each block adds only its high-vertex terms."""
+def _top_weights(X: Complex) -> tuple[np.ndarray, np.ndarray]:
+    """The top counts of each vertex, and of each edge as a symmetric matrix."""
     n = len(X.vertex_names)
     tops = np.array(X.top_counts(0), dtype=np.int64)
     pair = np.zeros((n, n), dtype=np.int64)
     if X.d >= 1:
         for (u, v), t in zip(X.faces(1), X.top_counts(1)):
             pair[u, v] = pair[v, u] = t
+    return tops, pair
+
+
+def _subset_blocks(tops: np.ndarray, pair: np.ndarray, k: int):
+    """Yield (lo, vtop, inner) for the blocks lo .. lo + 2^k - 1 of vertex
+    subsets in ascending order: the exact top counts of each subset and of its
+    inner edges, from _top_weights. A subset is its low bits l plus the high
+    vertices H of lo, so inner = inner_low[l] + edges(H, l) + inner[H]; the low
+    tables are built once and each block adds only its high-vertex terms."""
     inner_low = np.zeros(1 << k, dtype=np.int64)
     for i in range(k):  # adding i to a subset below 2^i adds its edges into it
         inner_low[1 << i : 2 << i] = inner_low[: 1 << i] + _subset_sums(pair[i, :i])
     vtop_low = _subset_sums(tops[:k])
     yield 0, vtop_low, inner_low
-    for lo in range(1 << k, 1 << n, 1 << k):
+    for lo in range(1 << k, 1 << len(tops), 1 << k):
         high = list(iter_bits(lo))
         yield (
             lo,
             vtop_low + tops[high].sum(),
             inner_low + _subset_sums(pair[high, :k].sum(0)) + pair[np.ix_(high, high)].sum() // 2,
         )
-
-
-def _subset_tops(X: Complex) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top counts of every vertex subset and of its inner edges."""
-    _, vtop, inner = next(_subset_blocks(X, len(X.vertex_names)))
-    return vtop, inner
 
 
 def _mixing_margin(X: Complex, edge_tops, va, vb, lam: float):
@@ -472,8 +474,9 @@ def mixing_check_all(
 
     Pairs are decided first by the sign of the exact integer
     E = N L - v_A v_B (see _mixing_margin). For a block of subsets A, E comes
-    from one BLAS product [N rows | -v_A] @ [bits^T ; v_B], which counts an
-    edge inside A & B twice, less the gathered N inner[A & B].
+    from one BLAS product of subset sums of vertex rows, [N pair | -tops] over
+    A by [I | tops] over B, which counts an edge inside A & B twice, less the
+    gathered N inner[A & B].
 
     - Exactness: every term and partial sum is an integer of absolute value at
       most 2 N inner[all] + v_top[all]^2, and the subtraction adds at most
@@ -492,16 +495,12 @@ def mixing_check_all(
     check_enumeration(4**n, cap, "vertex subset pairs")
     size = 1 << n
     N = X.n_top
-    vtop, inner = _subset_tops(X)
+    tops, pair = _top_weights(X)
+    _, vtop, inner = next(_subset_blocks(tops, pair, n))
     exact32 = 3 * N * int(inner[-1]) + int(vtop[-1]) ** 2 < FLOAT32_EXACT
     dtype = np.float32 if exact32 else np.float64
-    one = 1 << np.arange(n, dtype=np.int64)
-    bits = ((np.arange(size)[:, None] & one) != 0).astype(dtype)
-    # inner[{u, v}] is the top count of edge uv, so rows[m, v] sums the counts
-    # of the edges from subset m to v
-    rows = bits @ inner[one[:, None] | one].astype(dtype)
-    left = np.hstack([N * rows, -vtop[:, None].astype(dtype)])
-    right = np.vstack([bits.T, vtop.astype(dtype)])
+    sums = _subset_sums(np.hstack([N * pair, -tops[:, None], np.eye(n, dtype=np.int64), tops[:, None]]))
+    left, right = sums[:, : n + 1].astype(dtype), sums[:, n + 1 :].T.astype(dtype, order="C")
     # a block pairs every B with the 2^k subsets A that share their bits from
     # k up, A_hi. With table[a, h, b] = N inner[h << k | (a & b)] for a, b < 2^k,
     # the block's N inner[A & B] is table[:, A_hi & B_hi, :], a gather of rows
@@ -574,7 +573,7 @@ def skeleton_alpha(
     k = min(n, SUBSET_BLOCK.bit_length() - 1)  # SUBSET_BLOCK >= 2: block 0 has a nonempty subset
     top = -math.inf
     best: tuple[Fraction, int] | None = None
-    for lo, vtop, inner in _subset_blocks(X, k):
+    for lo, vtop, inner in _subset_blocks(*_top_weights(X), k):
         skip = int(lo == 0)  # the empty subset has no ratio
         approx = inner[skip:] * (den0 / (4 * den1)) / vtop[skip:] - vtop[skip:] / den0
         top = max(top, float(approx.max()))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -21,11 +22,12 @@ from hdx.errors import BadDimension, NotBiregular, NotRegular, NoValidTyping
 from hdx.f2 import iter_bits
 from hdx.spectral import (
     MIXING_SLACK,
-    BipartiteTypeGraph,
     MixingScan,
     RegularStructure,
+    SpectralReport,
     _mixing_margin,
-    _subset_tops,
+    _subset_blocks,
+    _top_weights,
 )
 
 # -- random instances --------------------------------------------------------
@@ -420,9 +422,23 @@ def oracle_regularity(X: Complex, types: dict[str, int] | None = None) -> Regula
     return RegularStructure(X, vtypes, tuple(sizes), table)
 
 
-def oracle_type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> BipartiteTypeGraph:
-    """type_graph from a dense matrix: entries set edge by edge, degrees as
-    row sums, connectivity by a search over matrix rows."""
+@dataclass(frozen=True)
+class OracleTypeGraph:
+    """A type graph as its full adjacency matrix, left block then right block."""
+
+    i: int
+    j: int
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    matrix: np.ndarray
+    left_degree: int
+    right_degree: int
+    connected: bool
+
+
+def oracle_type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> OracleTypeGraph:
+    """type_graph from a dense square matrix: entries set edge by edge, degrees
+    as row sums, connectivity by a search over matrix rows."""
     if i == j:
         raise BadDimension("type pair must be distinct")
     if i > j:
@@ -454,8 +470,27 @@ def oracle_type_graph(X: Complex, R: RegularStructure, i: int, j: int) -> Bipart
             if int(w) not in seen:
                 seen.add(int(w))
                 queue.append(int(w))
-    return BipartiteTypeGraph(
+    return OracleTypeGraph(
         i, j, left, right, a, left_deg.pop(), right_deg.pop(), len(seen) == n
+    )
+
+
+def oracle_lambda2(G: OracleTypeGraph) -> SpectralReport:
+    """Normalized second largest adjacency eigenvalue of a type graph."""
+    vals, vecs = np.linalg.eigh(G.matrix)
+    residual = float(np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - G.matrix))
+    lam1 = float(vals[-1])
+    second = float(vals[-2])
+    # a bipartite spectrum is symmetric; clamping at zero keeps the
+    # normalized value in [0,1] even when only the trivial pair remains
+    normalized = max(second / lam1, 0.0)
+    return SpectralReport(
+        (G.i, G.j),
+        lam1,
+        normalized,
+        residual,
+        (G.left_degree, G.right_degree),
+        G.connected,
     )
 
 
@@ -473,6 +508,12 @@ def oracle_skeleton_alpha(X: Complex):
         if best is None or val > best[0]:
             best = (val, a)
     return max(best[0], Fraction(0)), best[0], best[1]
+
+
+def _subset_tops(X: Complex) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top counts of every vertex subset and of its inner edges."""
+    _, vtop, inner = next(_subset_blocks(*_top_weights(X), len(X.vertex_names)))
+    return vtop, inner
 
 
 def oracle_mixing_scan(X: Complex, lam: float) -> MixingScan:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from hdx.spectral import (
     type_graph,
 )
 from helpers import (
+    oracle_lambda2,
     oracle_mixing_scan,
     oracle_regularity,
     oracle_skeleton_alpha,
@@ -124,6 +126,53 @@ def test_not_biregular_direct():
     R = RegularStructure(X, types, (2, 2), {})
     with pytest.raises(NotBiregular):
         type_graph(X, R, 0, 1)
+
+
+def test_type_graph_rejects_types_out_of_range():
+    P = projective_flag(2, 3)
+    R = regularity(P)
+    for i, j in ((-1, 0), (0, -1), (2, 3), (0, 2)):
+        with pytest.raises(BadDimension, match=r"types must lie in 0\.\.1"):
+            type_graph(P, R, i, j)
+    with pytest.raises(BadDimension, match="type pair must be distinct"):
+        type_graph(P, R, 1, 1)
+
+
+def test_lambda2_matches_full_square_oracle():
+    """The SVD of the biadjacency matrix against eigh of the full adjacency
+    matrix, on every type pair of the regular corpus and four buildings."""
+    buildings = [projective_flag(q, n) for q in (2, 3) for n in (3, 4)]
+    complete_pairs = 0
+    for X in regular_corpus() + buildings:
+        R = regularity(X)
+        for i, j in combinations(range(X.d + 1), 2):
+            G = type_graph(X, R, i, j)
+            got = lambda2(G)
+            want = oracle_lambda2(oracle_type_graph(X, R, i, j))
+            assert abs(got.lambda1 - want.lambda1) <= 1e-12, (X, i, j)
+            assert abs(got.lambda2_normalized - want.lambda2_normalized) <= 1e-12, (X, i, j)
+            assert (got.pair, got.degrees, got.connected) == (want.pair, want.degrees, want.connected)
+            assert got.residual <= 1e-9
+            if G.left_degree == len(G.right) and G.right_degree == len(G.left):
+                # complete bipartite: the only nonzero singular value is lambda1,
+                # which a Gram-matrix route (eigvalsh of B B^T) blurs to ~1e-8
+                assert got.lambda2_normalized <= 1e-12, (X, i, j, got)
+                complete_pairs += 1
+    assert complete_pairs >= 20
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_building_type_graph_closed_forms(q):
+    """PG(3,q): points-lines and lines-planes have normalized second eigenvalue
+    sqrt(q/(q^2+q+1)), points-planes (a point-hyperplane design) q/(q^2+q+1)."""
+    P = projective_flag(q, 4)
+    R = regularity(P, projective_flag_types(P))
+    plane = q * q + q + 1
+    want = {(0, 1): math.sqrt(q / plane), (1, 2): math.sqrt(q / plane), (0, 2): q / plane}
+    lam, reports = lambda_max(P, R)
+    assert {r.pair: r.lambda2_normalized for r in reports} == pytest.approx(want, abs=1e-12)
+    assert all(r.residual <= 1e-9 for r in reports)
+    assert abs(lam - max(want.values())) <= 1e-12
 
 
 def test_lambda_complete_bipartite_and_trivial():
@@ -495,8 +544,7 @@ def _outcome(f, *args):
 
 
 def _graph_fields(G):
-    return (G.i, G.j, G.left, G.right, G.matrix.dtype, G.left_degree, G.right_degree,
-            G.connected)
+    return (G.i, G.j, G.left, G.right, G.left_degree, G.right_degree, G.connected)
 
 
 def test_regularity_matches_oracle():
@@ -535,6 +583,7 @@ def test_regularity_matches_oracle():
                     continue
                 G, H = got_g[1], want_g[1]
                 assert _graph_fields(G) == _graph_fields(H)
-                assert np.array_equal(G.matrix, H.matrix) and G.matrix.dtype == np.float64
+                B = G.biadjacency
+                assert np.array_equal(B, H.matrix[: len(G.left), len(G.left) :]) and B.dtype == np.float64
     # the corpus reaches both outcomes often
     assert regular > 50 and non_regular > 50, (regular, non_regular)
