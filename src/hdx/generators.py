@@ -13,6 +13,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from .caps import check_enumeration
 from .core import Complex, Face, build_complex
@@ -121,6 +122,7 @@ def projective_flag(q: int, n: int, cap: int | None = None) -> Complex:
     if n < 2:
         raise BadParam(f"flag complex needs n >= 2, got {n}")
     check_enumeration(q**n, cap, "field vectors")
+    check_enumeration(prod((q**k - 1) // (q - 1) for k in range(1, n + 1)), cap, "complete flags")
     by_dim = {k: _rref_subspaces(q, n, k) for k in range(1, n)}
     tokens = {k: [_subspace_token(w) for w in by_dim[k]] for k in by_dim}
     spans = {k: [_span(w, q) for w in by_dim[k]] for k in range(2, n)}

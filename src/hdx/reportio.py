@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 
@@ -27,8 +28,21 @@ def cochain_json(A) -> dict:
     return {"k": A.k, "faces": sorted(A.indices())}
 
 
+def _any_int_size(write, *args, **kwargs):
+    """write(*args, **kwargs) with Python's limit on int-to-str digits (3.10.7
+    and later) lifted, and restored after: exact integers of any size print."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return write(*args, **kwargs)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return write(*args, **kwargs)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _any_int_size(json.dumps, obj, indent=2, sort_keys=True) + "\n"
 
 
 def _flatten(obj, prefix: str, rows: list) -> None:
@@ -44,5 +58,5 @@ def _flatten(obj, prefix: str, rows: list) -> None:
 
 def tsv_dumps(obj) -> str:
     rows: list = []
-    _flatten(obj, "", rows)
+    _any_int_size(_flatten, obj, "", rows)
     return "".join(f"{key}\t{value}\n" for key, value in rows)

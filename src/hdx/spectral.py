@@ -6,9 +6,9 @@ between type sets. Without a given typing, a greedy sweep over the top faces
 infers one; each top face keeps its typed-vertex count and used-type bitmask,
 so a sweep visits only the faces a new typing left with a clash or a single
 untyped vertex, and the whole inference is linear in the top faces up to a
-heap's logarithm. The extension counts come from int64 face arrays with one
-type mask per face: every (face, subface) pair is located by searchsorted and
-counted by one bincount, and one comparison checks every pair of type sets.
+heap's logarithm. The extension counts are read off the top faces alone, each
+a row of vertices in type order: one np.unique per type set indexes its faces,
+and one bincount per pair of type sets counts the extensions of each face.
 For each pair of types the induced bipartite graph is one biadjacency matrix,
 built from the edge array, and is biregular; its normalized second eigenvalue
 is a singular value of that matrix from one LAPACK SVD, certified by the
@@ -58,9 +58,13 @@ class RegularStructure:
 
 
 def _face_array(X: Complex, k: int) -> np.ndarray:
-    """The k-faces of X (k >= 0) as the rows of an int64 array, in canonical order."""
-    flat = chain.from_iterable(X.faces(k))
-    return np.fromiter(flat, np.int64, X.n_faces(k) * (k + 1)).reshape(-1, k + 1)
+    """The k-faces of X (k >= 0) as the rows of a read-only int64 array, in
+    canonical order; built once per complex."""
+    if ("face_array", k) not in X.memo:
+        F = np.fromiter(chain.from_iterable(X.faces(k)), np.int64, X.n_faces(k) * (k + 1))
+        F.flags.writeable = False
+        X.memo["face_array", k] = F.reshape(-1, k + 1)
+    return X.memo["face_array", k]
 
 
 def _infer_types(X: Complex) -> dict[int, int]:
@@ -143,112 +147,63 @@ def _clash(top: Face, types: dict[int, int]) -> tuple[int, int]:
     raise AssertionError("no clash found")
 
 
-def _packed(J: np.ndarray, I: np.ndarray, d: int) -> np.ndarray:
-    """The bits of each type mask J outside I, moved down over the bits of I:
-    for J containing I, the rank of J among the 2^(d+1-|I|) type sets above I."""
-    out = np.zeros_like(J)
-    pos = np.zeros_like(J)
-    for t in range(d + 1):
-        free = ~I >> t & 1
-        out |= (J >> t & free) << pos
-        pos += free
-    return out
-
-
 def regularity(X: Complex, types: dict[str, int] | None = None) -> RegularStructure:
     """Verify regularity exhaustively, inferring a typing if none is given.
 
     table[(I, J)] is the number of J-typed faces through each I-typed face.
-    The faces of each dimension are int64 arrays with one type mask per face.
-    A subface is a subset of a face's sorted columns, so it is sorted too, and
-    its index comes from searchsorted on the keys index(prefix) * n + last
-    vertex, which ascend in canonical order. Each face owns one counter per
-    type set J above its own, and one bincount over every (face, subface) pair
-    fills them all. One comparison of every counter with the same counter of
-    the first face of its type set then checks every pair (I, J).
+    Every face lies in a top face, and a top face has one vertex of each type,
+    so with the top-face columns in type order its S-face is its columns S.
+    index[S] ranks the S-face of each top face among all S-faces (np.unique on
+    index[S minus its last type] * n + the vertex of that type), and first[S]
+    is one top face through each S-face: the J-faces through each I-face are
+    one bincount of index[I] over first[J].
     """
     d = X.d
     n = len(X.vertex_names)
     if types is None:
         vtypes = _infer_types(X)
     else:
-        vtypes = {}
-        for name, t in types.items():
-            ids = X.vertex_ids([name])
-            vtypes[ids.pop()] = int(t)
+        vtypes = {X.vertex_ids([name]).pop(): int(t) for name, t in types.items()}
     if set(vtypes) != set(range(n)):
         raise NoValidTyping("typing does not cover every vertex")
     if not all(0 <= t <= d for t in vtypes.values()):
         raise NoValidTyping(f"types must lie in 0..{d}")
 
-    type_of = np.zeros(n, dtype=np.int64)
-    type_of[list(vtypes)] = list(vtypes.values())
-    faces = [_face_array(X, k) for k in range(d + 1)]
-    masks = [np.zeros(1, dtype=np.int64)] + [(1 << type_of[F]).sum(axis=1) for F in faces]
-    full = (1 << (d + 1)) - 1
-    wrong = np.flatnonzero(masks[-1] != full)
+    type_of = np.array([vtypes[v] for v in range(n)], dtype=np.int64)
+    tops = _face_array(X, d)
+    by_type = np.full_like(tops, -1)  # by_type[:, t] is the type-t vertex of each top face
+    np.put_along_axis(by_type, type_of[tops], tops, axis=1)
+    wrong = np.flatnonzero((by_type < 0).any(axis=1))  # a repeated type leaves a slot at -1
     if wrong.size:
         raise NoValidTyping(
             f"top face {X.tokens_of(X.faces(d)[wrong[0]])} does not carry one vertex of each type"
         )
 
-    # start[k + 1] is the global index of the first k-face
-    start = np.cumsum([0] + [X.n_faces(k) for k in range(-1, d + 1)]).tolist()
-    # (global index of a subface, type mask of the face), for every face and
-    # subface; the (-1)-face is its own subface
-    sub, sup = [np.zeros(1, dtype=np.int64)], [masks[0]]
-    keys: dict[int, np.ndarray] = {}
-    for k, (F, M) in enumerate(zip(faces, masks[1:])):
-        sub.append(np.zeros(len(F), dtype=np.int64))  # the empty subface
-        sup.append(M)
-        index = {(): None}  # column subset -> index of that subface in its dimension
-        for size in range(1, k + 2):
-            for cols in combinations(range(k + 1), size):
-                prefix, last = index[cols[:-1]], F[:, cols[-1]]
-                if size == 1:
-                    at = last
-                elif size == k + 1:
-                    keys[k] = prefix * n + last
-                    at = np.arange(len(F))
-                else:
-                    at = np.searchsorted(keys[size - 1], prefix * n + last)
-                index[cols] = at
-                sub.append(start[size] + at)
-                sup.append(M)
-
-    # a face g has one slot per type set J above its own, 2^(d+1-|g|) in all;
-    # C[slot[g] + _packed(J, mask(g))] counts the J-typed faces through g
-    mask_of = np.concatenate(masks)
-    width = np.concatenate([np.full(n_k, 1 << (d - k)) for k, n_k in
-                            zip(range(-1, d + 1), np.diff(start).tolist())])
-    slot = np.cumsum(width) - width
-    g = np.concatenate(sub)
-    C = np.bincount(slot[g] + _packed(np.concatenate(sup), mask_of[g], d), minlength=int(width.sum()))
-    # each slot against the same slot of the first face of its type set (every
-    # type set has faces: those of any top face)
-    _, first_of = np.unique(mask_of, return_index=True)
-    owner = np.repeat(np.arange(len(mask_of)), width)
-    rank = np.arange(len(C)) - slot[owner]
-    differ = np.flatnonzero(C != C[slot[first_of[mask_of[owner]]] + rank])
-    bad = np.zeros((full + 1, full + 1), dtype=bool)  # bad[mask(I), _packed(J, I)]
-    bad[mask_of[owner[differ]], rank[differ]] = True
-
     type_sets = [T for size in range(d + 2) for T in combinations(range(d + 1), size)]
-    bits = {T: sum(1 << t for t in T) for T in type_sets}
-    pairs = [(I, J) for J in type_sets for size in range(len(J) + 1) for I in combinations(J, size)]
-    im = np.array([bits[I] for I, _ in pairs])
-    r = _packed(np.array([bits[J] for _, J in pairs]), im, d)
-    as_key = {T: frozenset(T) for T in type_sets}
+    index = {(): np.zeros(len(tops), dtype=np.int64)}
+    first = {(): np.zeros(1, dtype=np.int64)}
+    for S in type_sets[1:]:  # keys stay below n_top * n
+        keys = index[S[:-1]] * n + by_type[:, S[-1]]
+        _, first[S], index[S] = np.unique(keys, return_index=True, return_inverse=True)
+
     table: dict[tuple[frozenset, frozenset], int] = {}
-    values = zip(pairs, C[slot[first_of[im]] + r].tolist(), bad[im, r].tolist(), r.tolist())
-    for (I, J), count, broken, j_rank in values:
-        if broken:
-            at = np.flatnonzero(mask_of == bits[I])
-            seen = C[slot[at] + j_rank].tolist()
-            p = next(p for p, c in enumerate(seen) if c != seen[0])
-            face = X.faces(len(I) - 1)[at[p] - start[len(I)]]
-            raise NotRegular(I, J, X.tokens_of(face), seen)
-        table[(as_key[I], as_key[J])] = count
+    for J in type_sets:
+        for size in range(len(J) + 1):
+            for I in combinations(J, size):
+                if size == 0:
+                    count = len(first[J])
+                elif size == len(J):
+                    count = 1
+                else:
+                    seen = np.bincount(index[I][first[J]])
+                    count = int(seen[0])
+                    if (seen != count).any():
+                        # canonical order of the I-faces; name the first whose count differs
+                        faces = np.sort(by_type[first[I]][:, I], axis=1).tolist()
+                        pairs = sorted(zip(map(tuple, faces), seen.tolist()))
+                        face = next(f for f, c in pairs if c != pairs[0][1])
+                        raise NotRegular(I, J, X.tokens_of(face), [c for _, c in pairs])
+                table[(frozenset(I), frozenset(J))] = count
 
     sizes = np.bincount(type_of, minlength=d + 1).tolist()
     return RegularStructure(X, vtypes, tuple(sizes), table)
@@ -353,10 +308,7 @@ def lambda_max(
     """Largest normalized non-trivial eigenvalue over all type pairs."""
     if X.d < 1:
         raise BadDimension("type graphs need dimension >= 1")
-    reports = []
-    for i in range(X.d + 1):
-        for j in range(i + 1, X.d + 1):
-            reports.append(lambda2(type_graph(X, R, i, j)))
+    reports = [lambda2(type_graph(X, R, i, j)) for i, j in combinations(range(X.d + 1), 2)]
     return max(r.lambda2_normalized for r in reports), tuple(reports)
 
 
@@ -377,8 +329,8 @@ def _top_weights(X: Complex) -> tuple[np.ndarray, np.ndarray]:
     tops = np.array(X.top_counts(0), dtype=np.int64)
     pair = np.zeros((n, n), dtype=np.int64)
     if X.d >= 1:
-        for (u, v), t in zip(X.faces(1), X.top_counts(1)):
-            pair[u, v] = pair[v, u] = t
+        u, v = _face_array(X, 1).T
+        pair[u, v] = pair[v, u] = X.top_counts(1)
     return tops, pair
 
 

@@ -2,11 +2,15 @@ import hashlib
 import json
 import math
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 
 from hdx.cli import main
+from hdx.criterion import constants
 from hdx.generators import load_complex
+from hdx.reportio import _any_int_size
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +107,32 @@ def test_constants_verb(capsys):
     rep = json.loads(out)["result"]
     assert rep["eps_bar"] == {"num": 1, "den": 12288}
     assert rep["theta_d"] == 7664025600
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_constants_writes_integers_of_any_size(capsys, fmt):
+    # mu at d = 7 has a denominator of more digits than Python prints by default
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out = run_cli(capsys, "constants", "--d", "7", "--beta", "1/2", "--Q", "3", "--format", fmt)
+    assert code == 0
+    # reading the integers back needs the limit lifted too
+    if fmt == "json":
+        mu = _any_int_size(json.loads, out)["result"]["mu"]
+    else:
+        rows = dict(line.split("\t") for line in out.splitlines())
+        mu = {key: _any_int_size(int, rows[f"result.mu.{key}"]) for key in ("num", "den")}
+    assert Fraction(mu["num"], mu["den"]) == constants(7, Fraction(1, 2), 3).mu
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_generate_over_cap_is_one_line(tmp_path, capsys):
+    out = os.path.join(tmp_path, "pf27.cx")
+    code = main(["generate", "--kind", "projective_flag", "--q", "2", "--n", "7", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not os.path.exists(out)
+    assert captured.err.startswith("hdx: error: complete flags needs 78129765 elements")
+    assert captured.err.count("\n") == 1
 
 
 def test_criterion_exit_codes(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from hdx.cohomology import cohomology_dim
 from hdx.core import build_complex
-from hdx.errors import BadParam, EmptyInput, NotPrime, NotPure, ParseError
+from hdx.errors import BadParam, EmptyInput, NotPrime, NotPure, ParseError, TooLarge
 from hdx.generators import (
     GenSpec,
     SplitMix64,
@@ -143,6 +143,21 @@ def test_projective_flag_validation():
         projective_flag(4, 3)
     with pytest.raises(BadParam):
         projective_flag(2, 1)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_projective_flag_cap_counts_flags(q, n):
+    # a cap of q^n passes the field-vector check, so the flag count trips it
+    with pytest.raises(TooLarge) as info:
+        projective_flag(q, n, cap=q**n)
+    assert info.value.required == projective_flag(q, n).n_top
+
+
+def test_projective_flag_cap_stops_before_enumerating():
+    # 2^7 field vectors are under the cap, but 78,129,765 complete flags are not
+    with pytest.raises(TooLarge) as info:
+        projective_flag(2, 7)
+    assert info.value.required == 1 * 3 * 7 * 15 * 31 * 63 * 127
 
 
 def test_splitmix_reference_values():

@@ -34,6 +34,7 @@ from hdx.generators import (
 )
 from hdx.spectral import (
     RegularStructure,
+    _face_array,
     lambda2,
     lambda_max,
     mixing_check,
@@ -80,16 +81,25 @@ def regular_corpus():
     return REGULAR_CORPUS
 
 
-def test_regularity_complete_partite():
-    X = complete_partite(2, 3)
-    R = regularity(X, complete_partite_types(X))
-    assert R.part_sizes == (3, 3, 3)
-    # each vertex extends to m^d top faces; the empty face to m^(d+1)
-    assert R.table[(frozenset(), frozenset({0, 1, 2}))] == 27
-    assert R.table[(frozenset({0}), frozenset({0, 1, 2}))] == 9
-    # inference finds an equivalent typing
-    R2 = regularity(X)
-    assert sorted(R2.part_sizes) == [3, 3, 3]
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("m", range(1, 4))
+@pytest.mark.parametrize("natural", [True, False])
+def test_regularity_complete_partite(d, m, natural):
+    # an I-face extends to m^(|J| - |I|) J-faces, one per choice in each part
+    # of J outside I; inference finds an equivalent typing
+    X = complete_partite(d, m)
+    R = regularity(X, complete_partite_types(X) if natural else None)
+    assert R.part_sizes == (m,) * (d + 1)
+    assert len(R.table) == 3 ** (d + 1)
+    assert all(c == m ** (len(J) - len(I)) for (I, J), c in R.table.items())
+
+
+def test_face_array_is_built_once_and_read_only():
+    X = projective_flag(2, 3)
+    F = _face_array(X, 1)
+    assert _face_array(X, 1) is F and F.shape == (21, 2)
+    with pytest.raises(ValueError):
+        F[0, 0] = 0
 
 
 def test_regularity_k4_fails():
@@ -527,6 +537,11 @@ def _typing_instances():
     # two untyped vertices; the sweep must visit that face at once
     yield build_complex(["01236", "01247", "01467", "02356", "02457", "12347", "13467",
                          "14567", "23457"]), None
+    # the first count that differs is at a different I-face in canonical order
+    # than in type order: (0,1) -> (0,1,2) breaks at 0:0 1:1, not at 0:1 1:0
+    X = build_complex([("0:0", "1:0", "2:0"), ("0:0", "1:1", "2:0"), ("0:0", "1:1", "2:1"),
+                       ("0:1", "1:0", "2:0"), ("0:1", "1:0", "2:1"), ("0:1", "1:1", "2:1")])
+    yield X, {name: {"0": 1, "1": 0, "2": 2}[name[0]] for name in X.vertex_names}
     X = complete_partite(2, 2)
     yield X, {name: 3 for name in X.vertex_names}
     yield X, {name: 0 for name in X.vertex_names[1:]}
