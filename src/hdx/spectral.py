@@ -417,6 +417,7 @@ class MixingScan:
     failed: int
     max_margin: float  # max over pairs of lhs - rhs
     failures: tuple[tuple[int, int], ...]  # (a_mask, b_mask), at most 8
+    scanned: int  # pairs multiplied: both subsets live, see mixing_check_all
 
 
 def mixing_check_all(
@@ -425,10 +426,13 @@ def mixing_check_all(
     """Exhaustive mixing check over every pair of vertex subsets.
 
     Pairs are decided first by the sign of the exact integer
-    E = N L - v_A v_B (see _mixing_margin). For a block of subsets A, E comes
-    from one BLAS product of subset sums of vertex rows, [N pair | -tops] over
-    A by [I | tops] over B, which counts an edge inside A & B twice, less the
-    gathered N inner[A & B].
+    E = N L - v_A v_B (see _mixing_margin). With g_A[v] = N L(A,{v}) - v_A t_v,
+    E(A,B) = sum of g_A over B - N inner[A & B] <= sum of g_A over B, and E is
+    symmetric, so E(A,B) > 0 only if A and B are both live: some g[v] > 0.
+    Per block of live A, one BLAS product of subset sums of vertex rows,
+    [N pair | -tops] over A by [I | tops] over the live B (an edge inside A & B
+    counted twice), less the gathered N inner[A & B], gives E. scanned counts
+    these live pairs; every other pair passes.
 
     - Exactness: every term and partial sum is an integer of absolute value at
       most 2 N inner[all] + v_top[all]^2, and the subtraction adds at most
@@ -444,35 +448,30 @@ def mixing_check_all(
     """
     lam = _mixing_lam(X, R, lam)
     n = len(X.vertex_names)
-    check_enumeration(4**n, cap, "vertex subset pairs")
-    size = 1 << n
+    pairs = 4**n
+    check_enumeration(pairs, cap, "vertex subset pairs")
     N = X.n_top
     tops, pair = _top_weights(X)
     _, vtop, inner = next(_subset_blocks(tops, pair, n))
     exact32 = 3 * N * int(inner[-1]) + int(vtop[-1]) ** 2 < FLOAT32_EXACT
     dtype = np.float32 if exact32 else np.float64
     sums = _subset_sums(np.hstack([N * pair, -tops[:, None], np.eye(n, dtype=np.int64), tops[:, None]]))
-    left, right = sums[:, : n + 1].astype(dtype), sums[:, n + 1 :].T.astype(dtype, order="C")
-    # a block pairs every B with the 2^k subsets A that share their bits from
-    # k up, A_hi. With table[a, h, b] = N inner[h << k | (a & b)] for a, b < 2^k,
-    # the block's N inner[A & B] is table[:, A_hi & B_hi, :], a gather of rows
-    k = min(n, max(0, (SUBSET_BLOCK >> n).bit_length() - 1))
-    low = np.arange(1 << k)
-    high = np.arange(size >> k)
-    table = (N * inner).astype(dtype).reshape(size >> k, 1 << k)[:, low[:, None] & low]
-    table = np.ascontiguousarray(table.transpose(1, 0, 2))
+    live = np.flatnonzero((sums[:, :n] + sums[:, n : n + 1] * tops > 0).any(axis=1))
+    left, right = sums[live, : n + 1].astype(dtype), sums[live, n + 1 :].T.astype(dtype, order="C")
+    N_inner = (N * inner).astype(dtype)
+    step = max(1, SUBSET_BLOCK // max(1, len(live)))
 
     marginal = failed = 0
     max_margin = 0.0  # the pair (empty, empty) has margin exactly 0.0
     failures: list[tuple[int, int]] = []
-    for start in range(0, size, 1 << k):
-        # ordered pairs (u in A, v in B) count an edge inside A & B twice
-        excess = left[start : start + (1 << k)] @ right
-        excess -= np.take(table, (start >> k) & high, axis=1).reshape(excess.shape)
+    for start in range(0, len(live), step):
+        rows = live[start : start + step]
+        excess = left[start : start + step] @ right
+        excess -= N_inner[rows[:, None] & live]
         if excess.max() <= 0:
             continue
         hot = np.flatnonzero(excess > 0)  # row-major, far faster than 2-D nonzero
-        a, c = (hot >> n) + start, hot & (size - 1)
+        a, c = rows[hot // len(live)], live[hot % len(live)]
         va, vb = vtop[a], vtop[c]
         edge_tops = (excess.ravel()[hot].astype(np.int64) + va * vb) // N  # L, exactly
         margin = _mixing_margin(X, edge_tops.astype(float), va, vb, lam)
@@ -483,8 +482,9 @@ def mixing_check_all(
         failed += n_bad
         for i in np.flatnonzero(bad)[: 8 - len(failures)]:
             failures.append((int(a[i]), int(c[i])))
-    pairs = size * size
-    return MixingScan(pairs, pairs - marginal - failed, marginal, failed, max_margin, tuple(failures))
+    return MixingScan(
+        pairs, pairs - marginal - failed, marginal, failed, max_margin, tuple(failures), len(live) ** 2
+    )
 
 
 @dataclass(frozen=True)

@@ -547,7 +547,8 @@ def oracle_mixing_scan(X: Complex, lam: float) -> MixingScan:
         if n_bad and len(failures) < 8:
             for r, c in np.argwhere(bad)[: 8 - len(failures)]:
                 failures.append((int(sel[r]), int(c)))
-    return MixingScan(size * size, passed, marginal, failed, max_margin, tuple(failures))
+    pairs = size * size
+    return MixingScan(pairs, passed, marginal, failed, max_margin, tuple(failures), pairs)
 
 
 # -- fat-machinery oracles ----------------------------------------------------------

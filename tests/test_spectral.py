@@ -322,9 +322,14 @@ MIXING_FAMILIES = st.one_of(
 @example(complete_partite(2, 4), None)
 @example(complete_partite(2, 4), 0.0)
 @example(cycle(12), 0.25)
+@example(cycle(12), 0.0)
+@example(disjoint_edges(6), 0.0)
 def test_mixing_scan_matches_oracle(X, lam):
     # the oracle scores every pair in float64; the scan decides most pairs by
-    # the sign of an exact integer and scores only the rest
+    # the sign of an exact integer and scores only the rest, the pairs of live
+    # subsets; at n = 12 and lam = 0 these two have a strict live subset and
+    # over 8 failures, so the order of failures over the gathered live rows
+    # and columns is checked
     if lam is None:
         lam, _ = lambda_max(X, regularity(X))
     assert_scan_matches_oracle(X, lam)
@@ -379,6 +384,48 @@ def test_mixing_scan_float64_path(monkeypatch):
         if lam is None:
             lam, _ = lambda_max(X, regularity(X))
         assert_scan_matches_oracle(X, lam)
+
+
+def test_mixing_positive_pairs_have_live_subsets():
+    # the bound behind the scan, from edges_between alone: N L(A,B) - v_A v_B > 0
+    # needs some v with N L(A,{v}) - v_A t_v > 0, and the same for B
+    positive = 0
+    for seed in range(15):
+        X = random_pure_complex(random.Random(seed), dims=(1, 2), max_n=7)
+        N, n, tops = X.n_top, len(X.vertex_names), X.top_counts(0)
+        subsets = [[X.vertex_names[i] for i in range(n) if (m >> i) & 1] for m in range(1 << n)]
+        vtop = [sum(tops[i] for i in range(n) if (m >> i) & 1) for m in range(1 << n)]
+        live = [
+            any(
+                N * X.edges_between(a, [v]).top_sum() - vtop[m] * tops[i] > 0
+                for i, v in enumerate(X.vertex_names)
+            )
+            for m, a in enumerate(subsets)
+        ]
+        for am, a in enumerate(subsets):
+            for bm, b in enumerate(subsets):
+                if N * X.edges_between(a, b).top_sum() - vtop[am] * vtop[bm] > 0:
+                    positive += 1
+                    assert live[am] and live[bm], (seed, am, bm)
+    assert positive > 0
+
+
+def test_mixing_scan_counts_live_pairs():
+    # no subset of complete_partite(2, 4) or complete(12, 2) is live; in
+    # cycle(6), N = 6 and t_v = 2, so A is live when some vertex has more than
+    # 2|A|/3 neighbours in A: the 6 single vertices and the 6 pairs at distance 2
+    cases = ((complete_partite(2, 4), None, 0), (complete(12, 2), 0.0, 0), (cycle(6), 0.0, 144))
+    for X, lam, scanned in cases:
+        R = regularity(X) if lam is None else None
+        assert mixing_check_all(X, R, lam=lam).scanned == scanned
+
+
+def test_mixing_scan_on_a_building():
+    # 4^14 pairs, of which 4,123^2 are multiplied; every pair passes
+    X = projective_flag(2, 3)
+    scan = mixing_check_all(X, regularity(X), cap=4**14)
+    assert (scan.failed, scan.marginal, scan.max_margin) == (0, 0, 0.0)
+    assert scan.pairs == 4**14 and scan.scanned == 4123**2
 
 
 @pytest.mark.parametrize("lam", [-1e-12, -1.0, math.nan, math.inf, -math.inf])
